@@ -12,13 +12,16 @@ Writing b_n for the bounded count, removing the whole group from a bounded
 chain leaves a bounded chain of some proper subgroup, which is again
 elementary abelian of smaller rank, giving the recurrence
 
-    b_0 = 1,    b_n = sum_{k=0}^{n-1} gaussian_binomial(n, k, p) * b_k.
+    b_0 = 1,    b_n = sum_{k=0}^{n-1} [n k]_p * b_k.
 
-Unrolling it yields an explicit sum over subsets of {1, ..., n-1}: a subset
-read in descending order is a chain of intermediate dimensions, and
-contributes the product of the Gaussian binomials between consecutive
-dimensions (the empty subset contributes 1). Both forms are implemented,
-numerically and as polynomials in p, and must agree exactly.
+This is the one counting engine: it extends b_0..b_m and row m of the q-Pascal
+triangle a rank at a time, O(n^2) products in all. By Kronecker substitution it
+also gives the polynomial in p: its coefficients are non-negative and sum to the
+ordered Bell number b_n(1), so the value at p = 2^K > b_n(1) holds them as digits.
+
+Unrolling it gives a cross-check: a sum over the subsets of {1, ..., n-1},
+each a chain of intermediate dimensions that contributes the product of the
+Gaussian binomials between consecutive ones (the empty subset contributes 1).
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 
 from .polynomial import ONE, IntPolynomial
-from .qarith import _check_base, gaussian_binomial, gaussian_binomial_poly
+from .qarith import _check_base, q_pascal_rows, q_pascal_step
 
 CLOSED_FORM_CAP_ENV = "SUBCHAINS_MAX_N"
 DEFAULT_CLOSED_FORM_CAP = 24
@@ -61,70 +64,77 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank n must be >= 0, got {n}")
 
 
-# Bounded-chain values memoized per base p; the lock keeps concurrent callers
-# from growing the same table at once.
-_bounded_cache: dict[int, list[int]] = {}
-_bounded_lock = threading.Lock()
+def _extend(b: list[int], row: list[int], n: int, p: int) -> list[int]:
+    """Grow b = [b_0..b_m] in place to rank n; takes row m, returns the row of b's last rank."""
+    while len(b) <= n:
+        row = q_pascal_step(row, p, n)
+        b.append(sum(map(mul, row, b)))  # [m k] * b_k for k < m
+    return row
+
+
+def _bounded(n: int, p: int) -> int:
+    b = [1]
+    _extend(b, [1], n, p)
+    return b[n]
+
+
+# (p, [b_0..b_m], row m) for the most recent base only, so memory stays bounded
+# however many bases a process sees; the lock serializes extending it.
+_memo: tuple[int, list[int], list[int]] = (0, [1], [1])
+_memo_lock = threading.Lock()
 
 
 def bounded_chains_recurrence(n: int, p: int) -> int:
-    """Number of chains containing both the trivial subgroup and Z_p^n.
-
-    Evaluates the recurrence over proper-subgroup tops with a per-base memo
-    table, so reaching rank n costs O(n^2) big-integer operations. This is
-    the workhorse path; it handles n in the hundreds.
-    """
+    """Number of chains containing both the trivial subgroup and Z_p^n."""
+    global _memo
     _check_rank(n)
     _check_base(p)
-    with _bounded_lock:
-        table = _bounded_cache.setdefault(p, [1])
-        for m in range(len(table), n + 1):
-            table.append(sum(gaussian_binomial(m, k, p) * table[k] for k in range(m)))
-        return table[n]
+    with _memo_lock:
+        base, b, row = _memo if _memo[0] == p else (p, [1], [1])
+        _memo = (base, b, _extend(b, row, n, p))
+        return b[n]
 
 
 def closed_form_cap() -> int:
     """Largest rank accepted by bounded_chains_closed_form, from the environment."""
-    raw = os.environ.get(CLOSED_FORM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CLOSED_FORM_CAP
+    raw = os.environ.get(CLOSED_FORM_CAP_ENV, str(DEFAULT_CLOSED_FORM_CAP))
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"{CLOSED_FORM_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def bounded_chains_closed_form(n: int, p: int, cap: int | None = None) -> int:
-    """Same count as bounded_chains_recurrence, by direct subset enumeration.
-
-    Sums over all 2^(n-1) subsets of {1, ..., n-1} in binary-counter order;
-    each subset contributes the product of Gaussian binomials along its
-    descending dimension chain, topped by the count of subspaces of the
-    largest chosen dimension inside the full space. Exponential in n, so
-    ranks above the cap are refused (default 24; override with the cap
-    argument or the SUBCHAINS_MAX_N environment variable).
-    """
-    _check_rank(n)
-    _check_base(p)
-    if cap is None:
-        cap = closed_form_cap()
+def check_closed_form_rank(n: int, cap: int | None = None) -> None:
+    """Refuse ranks above the cap: default 24, or the cap argument, or SUBCHAINS_MAX_N."""
+    cap = closed_form_cap() if cap is None else cap
     if n > cap:
         raise ValueError(
             f"n={n} exceeds the closed-form enumeration cap of {cap}; "
             f"use the recurrence, or raise the cap via {CLOSED_FORM_CAP_ENV}"
         )
-    if n == 0:
-        return 1
+
+
+def bounded_chains_closed_form(n: int, p: int, cap: int | None = None) -> int:
+    """Same count as bounded_chains_recurrence, by direct subset enumeration.
+
+    Sums over all 2^(n-1) subsets of {1, ..., n-1}, depth first. A subset read
+    in descending order is a chain of dimensions below n; it contributes the
+    product of the Gaussian binomials [upper lower] along that chain, read
+    from rows 0..n built once, and each term extends its parent's by one
+    factor. Exponential in n, so ranks above the cap are refused (see
+    check_closed_form_rank).
+    """
+    _check_rank(n)
+    _check_base(p)
+    check_closed_form_rank(n, cap)
+    rows = q_pascal_rows(n, p, n)
     total = 0
-    for mask in range(1 << (n - 1)):
-        dims = [b + 1 for b in range(n - 1) if (mask >> b) & 1]
-        if not dims:
-            total += 1
-            continue
-        term = gaussian_binomial(n, dims[-1], p)
-        for lower, upper in zip(dims, dims[1:]):
-            term *= gaussian_binomial(upper, lower, p)
+    stack = [(n, 1)]  # (lowest dimension of the subset's chain, its term)
+    while stack:
+        top, term = stack.pop()
         total += term
+        for lower in range(1, top):
+            stack.append((lower, term * rows[top][lower]))
     return total
 
 
@@ -144,16 +154,11 @@ def chain_counts(n: int, p: int, method: str = "recurrence", cap: int | None = N
     return ChainCounts.from_rooted(rooted)
 
 
-@lru_cache(maxsize=None)
 def bounded_chains_poly(n: int) -> IntPolynomial:
-    """Bounded-chain count with the base left symbolic."""
+    """Bounded-chain count with the base left symbolic, by Kronecker substitution (no memo)."""
     _check_rank(n)
-    if n == 0:
-        return ONE
-    total = IntPolynomial()
-    for k in range(n):
-        total = total + gaussian_binomial_poly(n, k) * bounded_chains_poly(k)
-    return total
+    width = -(-_bounded(n, 1).bit_length() // 8)
+    return IntPolynomial.from_digits(_bounded(n, 1 << 8 * width), width)
 
 
 def rooted_chains_poly(n: int) -> IntPolynomial:
@@ -169,7 +174,7 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
 
 
 def clear_caches() -> None:
-    """Drop all memoized values (useful for benchmarks and test isolation)."""
-    with _bounded_lock:
-        _bounded_cache.clear()
-    bounded_chains_poly.cache_clear()
+    """Drop the recurrence memo (useful for benchmarks and test isolation)."""
+    global _memo
+    with _memo_lock:
+        _memo = (0, [1], [1])

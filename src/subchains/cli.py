@@ -8,6 +8,7 @@ domain errors (the message names the violated bound).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -136,6 +137,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         grid = []
 
+    # Refuse over-limit requests before the first check runs or prints.
+    if run_methods:
+        chains.check_closed_form_rank(max_n)
+    for p, n_hi in grid:
+        lattice.check_size(p, n_hi, args.budget)
+
     passed = 0
     failed = 0
 
@@ -190,14 +197,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    start = perf_counter()
-    lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
-    oracle = lattice.count_chains(lat)
-    elapsed_ms = (perf_counter() - start) * 1000.0
+    # Validate the request and open the dump file before the lattice is built,
+    # so a bad path costs nothing and leaves no half-done work.
+    lattice.check_size(args.p, args.n, args.budget)
+    try:
+        dump = open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write the lattice dump: {exc}") from None
+    with dump:
+        start = perf_counter()
+        lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
+        oracle = lattice.count_chains(lat)
+        elapsed_ms = (perf_counter() - start) * 1000.0
+        if args.dump:
+            dump.writelines(line + "\n" for line in lat.dump_lines())
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            for line in lat.dump_lines():
-                fh.write(line + "\n")
         print(f"lattice dump written to {args.dump}", file=sys.stderr)
     record = _record(args.p, args.n, oracle.counts, "oracle", elapsed_ms)
     dims = [str(c) for c in oracle.subgroups_by_dim]

@@ -56,7 +56,11 @@ def node_budget() -> int:
         raise ValueError(f"{NODE_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
-def _check_budget(p: int, n: int, budget: int | None) -> None:
+def check_size(p: int, n: int, budget: int | None = None) -> None:
+    """Refuse a lattice over a non-prime base, of negative rank, or over the node budget."""
+    _check_prime(p)
+    if n < 0:
+        raise ValueError(f"rank n must be >= 0, got {n}")
     limit = node_budget() if budget is None else budget
     nodes = galois_number(n, p)
     if nodes > limit:
@@ -136,12 +140,9 @@ def enumerate_subspaces(p: int, n: int, k: int, budget: int | None = None) -> li
     of F_p in odometer order. Uniqueness of RREF makes this duplicate-free by
     construction. The whole (p, n) lattice must fit the node budget.
     """
-    _check_prime(p)
-    if n < 0:
-        raise ValueError(f"rank n must be >= 0, got {n}")
+    check_size(p, n, budget)
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    _check_budget(p, n, budget)
     out: list[Subspace] = []
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)
@@ -204,10 +205,7 @@ def build_lattice(p: int, n: int, budget: int | None = None) -> SubgroupLattice:
     pairs with strictly smaller dimension are tested: proper containment
     between equal-dimension subspaces is impossible.
     """
-    _check_prime(p)
-    if n < 0:
-        raise ValueError(f"rank n must be >= 0, got {n}")
-    _check_budget(p, n, budget)
+    check_size(p, n, budget)
     nodes: list[Subspace] = []
     for k in range(n + 1):
         layer = enumerate_subspaces(p, n, k, budget=budget)

@@ -4,7 +4,10 @@ Every count in this package is a polynomial in the group's base p, so the
 symbolic results are carried as IntPolynomial values. Coefficients are plain
 Python ints (unbounded); there is no floating point anywhere. Degrees stay
 small (at most n(n-1)/2 for rank n), so the representation is a dense
-ascending coefficient tuple and multiplication is schoolbook.
+ascending coefficient tuple. Multiplication is schoolbook; the counting
+engine does not multiply polynomials at all, it evaluates its integer
+recurrence at a power of two and splits the value into coefficients with
+from_digits (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -36,6 +39,16 @@ class IntPolynomial:
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power}")
         return cls([0] * power + [coeff])
+
+    @classmethod
+    def from_digits(cls, value: int, width: int) -> IntPolynomial:
+        """The polynomial whose coefficients are the base-2^(8*width) digits of value >= 0.
+
+        This inverts evaluation at X = 2^(8*width) for polynomials whose
+        coefficients all lie in [0, 2^(8*width)).
+        """
+        raw = value.to_bytes(-(-value.bit_length() // 8), "little")
+        return cls(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
 
     @property
     def degree(self) -> int:

@@ -1,10 +1,13 @@
 """Exact arithmetic for counting subspaces of F_p^n.
 
-The building block is the product (p - 1)(p^2 - 1)...(p^r - 1); ratios of
-these give the Gaussian binomial coefficients, which count the k-dimensional
-subspaces of an n-dimensional space over the field with p elements. Every
-quantity exists twice: numerically for a fixed integer base p >= 2, and
-symbolically as an IntPolynomial in p.
+The Gaussian binomial [n k]_p counts the k-dimensional subspaces of an
+n-dimensional space over the field with p elements. All of them come from one
+primitive, the q-Pascal row step [m k] = [m-1 k-1] + p^k [m-1 k], which takes
+row m-1 of the triangle to row m with no division. Numeric binomials read the
+last row. Polynomial ones run the same step at p = 2^K and read the
+coefficients off as base-2^K digits (Kronecker substitution): they are
+non-negative and sum to the value at p = 1, so with 2^K above that sum no
+digit carries. Nothing is memoized here.
 
 The base is deliberately not required to be prime. All identities here are
 polynomial identities in p; only the subgroup-lattice interpretation needs
@@ -13,7 +16,9 @@ primality, and the lattice module enforces that separately.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import accumulate, repeat
+from math import comb, prod
+from operator import add, mul
 
 from .polynomial import ONE, IntPolynomial
 
@@ -23,63 +28,58 @@ def _check_base(p: int) -> None:
         raise ValueError(f"base p must be >= 2, got {p}")
 
 
-@lru_cache(maxsize=None)
+def q_pascal_step(row: list[int], p: int, width: int) -> list[int]:
+    """Row m of [m k]_p, k <= width, from row m-1; any p >= 1 (p = 1 gives Pascal's triangle)."""
+    top = min(len(row), width + 1)
+    if p & (p - 1):
+        scaled = map(mul, accumulate(repeat(p, top - 1), mul, initial=1), row[:top])
+    else:
+        scaled = (x << (p.bit_length() - 1) * k for k, x in enumerate(row[:top]))
+    next(scaled)  # column 0 of the new row is 1
+    out = [1, *map(add, row, scaled)]
+    if len(row) <= width:
+        out.append(1)
+    return out
+
+
+def q_pascal_rows(n: int, p: int, width: int) -> list[list[int]]:
+    """Rows 0..n of the q-Pascal triangle at base p, columns k <= width."""
+    rows = [[1]]
+    for _ in range(n):
+        rows.append(q_pascal_step(rows[-1], p, width))
+    return rows
+
+
 def q_factorial(r: int, p: int) -> int:
     """The product (p - 1)(p^2 - 1)...(p^r - 1); the empty product (r=0) is 1."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     _check_base(p)
-    out = 1
-    power = 1
-    for _ in range(r):
-        power *= p
-        out *= power - 1
-    return out
+    return prod(p**s - 1 for s in range(1, r + 1))
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p).
-
-    Computed as q_factorial(n) / (q_factorial(k) * q_factorial(n-k)). The
-    division is exact for every integer p >= 2, not just primes, because the
-    quotient is a fixed integer polynomial evaluated at p.
-    """
+    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     _check_base(p)
-    quot, rem = divmod(q_factorial(n, p), q_factorial(k, p) * q_factorial(n - k, p))
-    assert rem == 0
-    return quot
+    return q_pascal_rows(n, p, min(k, n - k))[-1][-1]
 
 
-@lru_cache(maxsize=None)
 def q_factorial_poly(r: int) -> IntPolynomial:
     """q_factorial with the base left symbolic: the product of (X^s - 1) for s = 1..r."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    out = ONE
-    for s in range(1, r + 1):
-        out = out * (IntPolynomial.monomial(s) - 1)
-    return out
+    return prod((IntPolynomial.monomial(s) - 1 for s in range(1, r + 1)), start=ONE)
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
-    """The q-binomial [n choose k] as a polynomial in the base.
-
-    Built bottom-up with the Pascal-style recurrence
-
-        [n k] = [n-1 k-1] + X^k * [n-1 k],   [n 0] = [n n] = 1,
-
-    which never needs polynomial division. Evaluating the result at any
-    integer p >= 2 agrees with gaussian_binomial(n, k, p).
-    """
+    """The q-binomial [n choose k] as a polynomial in the base; its coefficients sum to comb(n, k)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    if k == 0 or k == n:
-        return ONE
-    return gaussian_binomial_poly(n - 1, k - 1) + IntPolynomial.monomial(k) * gaussian_binomial_poly(n - 1, k)
+    k = min(k, n - k)
+    width = -(-comb(n, k).bit_length() // 8)  # bytes per coefficient
+    return IntPolynomial.from_digits(q_pascal_rows(n, 1 << 8 * width, k)[-1][-1], width)
 
 
 def galois_number(n: int, p: int) -> int:
@@ -87,12 +87,4 @@ def galois_number(n: int, p: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _check_base(p)
-    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
-
-
-def clear_caches() -> None:
-    """Drop all memoized values (useful for benchmarks and test isolation)."""
-    q_factorial.cache_clear()
-    gaussian_binomial.cache_clear()
-    q_factorial_poly.cache_clear()
-    gaussian_binomial_poly.cache_clear()
+    return sum(q_pascal_rows(n, p, n)[-1])

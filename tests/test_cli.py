@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from time import perf_counter
 
 import pytest
 
@@ -182,6 +183,31 @@ def test_oracle_dump(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "lattice p=2 n=2 nodes=5"
     assert sum(1 for line in lines if line.startswith("edge ")) == 7
+
+
+def test_oracle_dump_to_a_bad_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "lattice.txt"
+    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2", "--dump", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_refuses_over_cap_rank_before_any_check(capsys):
+    start = perf_counter()
+    code, out, err = run_cli(["verify", "--p", "2", "--max-n", "30"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cap" in err and "n=30" in err
+    assert perf_counter() - start < 1.0
+
+
+def test_verify_refuses_over_budget_oracle_point_before_any_check(capsys):
+    code, out, err = run_cli(["verify", "--p", "2", "--max-n", "4", "--oracle", "3:3,2:9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "F_2^9" in err and "budget" in err
 
 
 def test_oracle_budget_flag(capsys):
