@@ -14,10 +14,12 @@ elementary abelian of smaller rank, giving the recurrence
 
     b_0 = 1,    b_n = sum_{k=0}^{n-1} [n k]_p * b_k.
 
-This is the one counting engine: it extends b_0..b_m and row m of the q-Pascal
-triangle a rank at a time, O(n^2) products in all. By Kronecker substitution it
-also gives the polynomial in p: its coefficients are non-negative and sum to the
-ordered Bell number b_n(1), so the value at p = 2^K > b_n(1) holds them as digits.
+This is the one counting engine: it extends b_0..b_m a rank at a time, reading
+row m of the q-Pascal triangle from qarith.gaussian_binomial (one row step per
+rank), O(n^2) products in all. By Kronecker substitution it also gives the
+polynomial in p: its coefficients are non-negative and sum to the ordered Bell
+number b_n(1), so the value at p = 2^K > b_n(1) (rows built locally, no memo)
+holds them as digits.
 
 Unrolling it gives a cross-check: a sum over the subsets of {1, ..., n-1},
 each a chain of intermediate dimensions that contributes the product of the
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .polynomial import ONE, IntPolynomial
-from .qarith import _check_base, q_pascal_rows, q_pascal_step
+from .qarith import _check_base, gaussian_binomial, q_pascal_rows, q_pascal_step
 
 CLOSED_FORM_CAP_ENV = "SUBCHAINS_MAX_N"
 DEFAULT_CLOSED_FORM_CAP = 24
@@ -64,23 +66,18 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank n must be >= 0, got {n}")
 
 
-def _extend(b: list[int], row: list[int], n: int, p: int) -> list[int]:
-    """Grow b = [b_0..b_m] in place to rank n; takes row m, returns the row of b's last rank."""
+def _bounded(n: int, p: int) -> int:
+    """b_n from rows built here, for any p >= 1; nothing is kept."""
+    b, row = [1], [1]
     while len(b) <= n:
         row = q_pascal_step(row, p, n)
         b.append(sum(map(mul, row, b)))  # [m k] * b_k for k < m
-    return row
-
-
-def _bounded(n: int, p: int) -> int:
-    b = [1]
-    _extend(b, [1], n, p)
     return b[n]
 
 
-# (p, [b_0..b_m], row m) for the most recent base only, so memory stays bounded
+# (p, [b_0..b_m]) for the most recent base only, so memory stays bounded
 # however many bases a process sees; the lock serializes extending it.
-_memo: tuple[int, list[int], list[int]] = (0, [1], [1])
+_memo: tuple[int, list[int]] = (0, [1])
 _memo_lock = threading.Lock()
 
 
@@ -90,8 +87,10 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
     _check_rank(n)
     _check_base(p)
     with _memo_lock:
-        base, b, row = _memo if _memo[0] == p else (p, [1], [1])
-        _memo = (base, b, _extend(b, row, n, p))
+        _memo = _memo if _memo[0] == p else (p, [1])
+        b = _memo[1]
+        for m in range(len(b), n + 1):
+            b.append(sum(gaussian_binomial(m, k, p) * b[k] for k in range(m)))
         return b[n]
 
 
@@ -177,4 +176,4 @@ def clear_caches() -> None:
     """Drop the recurrence memo (useful for benchmarks and test isolation)."""
     global _memo
     with _memo_lock:
-        _memo = (0, [1], [1])
+        _memo = (0, [1])

@@ -4,10 +4,11 @@ The Gaussian binomial [n k]_p counts the k-dimensional subspaces of an
 n-dimensional space over the field with p elements. All of them come from one
 primitive, the q-Pascal row step [m k] = [m-1 k-1] + p^k [m-1 k], which takes
 row m-1 of the triangle to row m with no division. Numeric binomials read the
-last row. Polynomial ones run the same step at p = 2^K and read the
+last row, which is kept: asked row by row, as the recurrence asks, they cost
+one step per row. Polynomial ones run the same step at p = 2^K and read the
 coefficients off as base-2^K digits (Kronecker substitution): they are
-non-negative and sum to the value at p = 1, so with 2^K above that sum no
-digit carries. Nothing is memoized here.
+non-negative and sum to the value at p = 1, so with 2^K above that sum no digit
+carries. Both sit behind a bounded LRU cache of recent entries.
 
 The base is deliberately not required to be prime. All identities here are
 polynomial identities in p; only the subgroup-lattice interpretation needs
@@ -16,11 +17,15 @@ primality, and the lattice module enforces that separately.
 
 from __future__ import annotations
 
+import threading
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, prod
 from operator import add, mul
 
 from .polynomial import ONE, IntPolynomial
+
+CACHE_SIZE = 256
 
 
 def _check_base(p: int) -> None:
@@ -42,6 +47,14 @@ def q_pascal_step(row: list[int], p: int, width: int) -> list[int]:
     return out
 
 
+def q_pascal_row(n: int, p: int, width: int) -> list[int]:
+    """Row n of the q-Pascal triangle at base p, columns k <= width, holding one row at a time."""
+    row = [1]
+    for _ in range(n):
+        row = q_pascal_step(row, p, width)
+    return row
+
+
 def q_pascal_rows(n: int, p: int, width: int) -> list[list[int]]:
     """Rows 0..n of the q-Pascal triangle at base p, columns k <= width."""
     rows = [[1]]
@@ -58,12 +71,32 @@ def q_factorial(r: int, p: int) -> int:
     return prod(p**s - 1 for s in range(1, r + 1))
 
 
+# (p, row m): the last full row built; the lock serializes moving it.
+_row: tuple[int, list[int]] = (0, [1])
+_row_lock = threading.Lock()
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p)."""
+    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p).
+
+    From the kept row if it is row n or n-1; else a narrow entry (min(k, n-k) < n/4)
+    builds its own columns <= min(k, n-k), and any other rebuilds and keeps row n.
+    """
+    global _row
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     _check_base(p)
-    return q_pascal_rows(n, p, min(k, n - k))[-1][-1]
+    width = min(k, n - k)
+    with _row_lock:
+        base, row = _row
+        if base == p and n <= len(row) <= n + 1:
+            _row = (p, row if len(row) > n else q_pascal_step(row, p, n))
+            return _row[1][k]
+        if 4 * width >= n:
+            _row = (p, q_pascal_row(n, p, n))
+            return _row[1][k]
+    return q_pascal_row(n, p, width)[-1]
 
 
 def q_factorial_poly(r: int) -> IntPolynomial:
@@ -73,13 +106,14 @@ def q_factorial_poly(r: int) -> IntPolynomial:
     return prod((IntPolynomial.monomial(s) - 1 for s in range(1, r + 1)), start=ONE)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
     """The q-binomial [n choose k] as a polynomial in the base; its coefficients sum to comb(n, k)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     k = min(k, n - k)
     width = -(-comb(n, k).bit_length() // 8)  # bytes per coefficient
-    return IntPolynomial.from_digits(q_pascal_rows(n, 1 << 8 * width, k)[-1][-1], width)
+    return IntPolynomial.from_digits(q_pascal_row(n, 1 << 8 * width, k)[-1], width)
 
 
 def galois_number(n: int, p: int) -> int:
@@ -87,4 +121,4 @@ def galois_number(n: int, p: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _check_base(p)
-    return sum(q_pascal_rows(n, p, n)[-1])
+    return sum(q_pascal_row(n, p, n))

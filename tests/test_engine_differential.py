@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from subchains import chains
+from subchains import chains, qarith
 from subchains.chains import (
     bounded_chains_closed_form,
     bounded_chains_poly,
@@ -132,12 +132,21 @@ def test_deep_binomial_poly_needs_no_recursion():
     assert gaussian_binomial_poly(1100, 1099) == IntPolynomial([1] * 1100)
 
 
+def test_kept_row_follows_row_order_and_survives_any_other():
+    gaussian_binomial.cache_clear()  # every call below reaches the row layer
+    for n in range(41):
+        assert [gaussian_binomial(n, k, 3) for k in range(n + 1)] == [ref_gaussian_binomial(n, k, 3) for k in range(n + 1)]
+    assert qarith._row == (3, [ref_gaussian_binomial(40, k, 3) for k in range(41)])
+    assert gaussian_binomial(200, 1, 3) == ref_gaussian_binomial(200, 1, 3)  # narrow: own rows
+    assert qarith._row[1][20] == ref_gaussian_binomial(40, 20, 3)
+    for n, k, p in [(12, 6, 3), (41, 20, 3), (41, 7, 5), (43, 21, 3), (44, 22, 3), (3, 1, 3)]:
+        assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
+
+
 def test_memo_keeps_only_the_most_recent_base():
     assert bounded_chains_recurrence(30, 5) == ref_bounded(30, 5)
     assert bounded_chains_recurrence(20, 7) == ref_bounded(20, 7)
-    base, table, row = chains._memo
-    assert (base, table) == (7, [ref_bounded(m, 7) for m in range(21)])
-    assert row == [ref_gaussian_binomial(20, k, 7) for k in range(21)]
+    assert chains._memo == (7, [ref_bounded(m, 7) for m in range(21)])
     assert bounded_chains_recurrence(31, 5) == ref_bounded(31, 5)
     assert bounded_chains_recurrence(12, 5) == ref_bounded(12, 5)
 
