@@ -14,12 +14,10 @@ elementary abelian of smaller rank, giving the recurrence
 
     b_0 = 1,    b_n = sum_{k=0}^{n-1} [n k]_p * b_k.
 
-This is the one counting engine: it extends b_0..b_m a rank at a time, reading
-row m of the q-Pascal triangle from qarith.gaussian_binomial (one row step per
-rank), O(n^2) products in all. By Kronecker substitution it also gives the
-polynomial in p: its coefficients are non-negative and sum to the ordered Bell
-number b_n(1), so the value at p = 2^K > b_n(1) (rows built locally, no memo)
-holds them as digits.
+This one loop counts for every base: it extends b_0..b_m a rank at a time,
+reading row m from qarith.gaussian_binomial in row order, O(n^2) products in
+all. The polynomial in p has non-negative coefficients that sum to the ordered
+Bell number b_n(1), so its value at p = 2^K > b_n(1) holds them as digits.
 
 Unrolling it gives a cross-check: a sum over the subsets of {1, ..., n-1},
 each a chain of intermediate dimensions that contributes the product of the
@@ -31,10 +29,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from operator import mul
+from math import comb
 
 from .polynomial import ONE, IntPolynomial
-from .qarith import _check_base, gaussian_binomial, q_pascal_rows, q_pascal_step
+from .qarith import _check_base, gaussian_binomial, q_pascal_step
 
 CLOSED_FORM_CAP_ENV = "SUBCHAINS_MAX_N"
 DEFAULT_CLOSED_FORM_CAP = 24
@@ -66,12 +64,10 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank n must be >= 0, got {n}")
 
 
-def _bounded(n: int, p: int) -> int:
-    """b_n from rows built here, for any p >= 1; nothing is kept."""
-    b, row = [1], [1]
-    while len(b) <= n:
-        row = q_pascal_step(row, p, n)
-        b.append(sum(map(mul, row, b)))  # [m k] * b_k for k < m
+def _extend(b: list[int], n: int, binomial) -> int:
+    """Grow b = [b_0..b_m] in place to rank n and return b_n; binomial(m, k) is [m k]."""
+    for m in range(len(b), n + 1):
+        b.append(sum(binomial(m, k) * b[k] for k in range(m)))
     return b[n]
 
 
@@ -87,16 +83,16 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
     _check_rank(n)
     _check_base(p)
     with _memo_lock:
-        _memo = _memo if _memo[0] == p else (p, [1])
-        b = _memo[1]
-        for m in range(len(b), n + 1):
-            b.append(sum(gaussian_binomial(m, k, p) * b[k] for k in range(m)))
-        return b[n]
+        if _memo[0] != p:
+            _memo = (p, [1])
+        return _extend(_memo[1], n, lambda m, k: gaussian_binomial(m, k, p))
 
 
 def closed_form_cap() -> int:
     """Largest rank accepted by bounded_chains_closed_form, from the environment."""
-    raw = os.environ.get(CLOSED_FORM_CAP_ENV, str(DEFAULT_CLOSED_FORM_CAP))
+    raw = os.environ.get(CLOSED_FORM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_CLOSED_FORM_CAP
     try:
         return int(raw)
     except ValueError:
@@ -126,7 +122,9 @@ def bounded_chains_closed_form(n: int, p: int, cap: int | None = None) -> int:
     _check_rank(n)
     _check_base(p)
     check_closed_form_rank(n, cap)
-    rows = q_pascal_rows(n, p, n)
+    rows = [[1]]
+    for _ in range(n):
+        rows.append(q_pascal_step(rows[-1], p, n))
     total = 0
     stack = [(n, 1)]  # (lowest dimension of the subset's chain, its term)
     while stack:
@@ -156,8 +154,9 @@ def chain_counts(n: int, p: int, method: str = "recurrence", cap: int | None = N
 def bounded_chains_poly(n: int) -> IntPolynomial:
     """Bounded-chain count with the base left symbolic, by Kronecker substitution (no memo)."""
     _check_rank(n)
-    width = -(-_bounded(n, 1).bit_length() // 8)
-    return IntPolynomial.from_digits(_bounded(n, 1 << 8 * width), width)
+    width = -(-_extend([1], n, comb).bit_length() // 8)  # bytes per coefficient
+    base = 1 << 8 * width
+    return IntPolynomial.from_digits(_extend([1], n, lambda m, k: gaussian_binomial(m, k, base)), width)
 
 
 def rooted_chains_poly(n: int) -> IntPolynomial:

@@ -3,12 +3,10 @@
 The Gaussian binomial [n k]_p counts the k-dimensional subspaces of an
 n-dimensional space over the field with p elements. All of them come from one
 primitive, the q-Pascal row step [m k] = [m-1 k-1] + p^k [m-1 k], which takes
-row m-1 of the triangle to row m with no division. Numeric binomials read the
-last row, which is kept: asked row by row, as the recurrence asks, they cost
-one step per row. Polynomial ones run the same step at p = 2^K and read the
-coefficients off as base-2^K digits (Kronecker substitution): they are
-non-negative and sum to the value at p = 1, so with 2^K above that sum no digit
-carries. Both sit behind a bounded LRU cache of recent entries.
+row m-1 of the triangle to row m with no division. Polynomial binomials run
+the same step at p = 2^K and read the coefficients off as base-2^K digits
+(Kronecker substitution): they are non-negative and sum to the value at p = 1,
+so with 2^K above that sum no digit carries.
 
 The base is deliberately not required to be prime. All identities here are
 polynomial identities in p; only the subgroup-lattice interpretation needs
@@ -20,12 +18,10 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, prod
+from math import comb
 from operator import add, mul
 
 from .polynomial import ONE, IntPolynomial
-
-CACHE_SIZE = 256
 
 
 def _check_base(p: int) -> None:
@@ -55,58 +51,60 @@ def q_pascal_row(n: int, p: int, width: int) -> list[int]:
     return row
 
 
-def q_pascal_rows(n: int, p: int, width: int) -> list[list[int]]:
-    """Rows 0..n of the q-Pascal triangle at base p, columns k <= width."""
-    rows = [[1]]
-    for _ in range(n):
-        rows.append(q_pascal_step(rows[-1], p, width))
-    return rows
-
-
 def q_factorial(r: int, p: int) -> int:
     """The product (p - 1)(p^2 - 1)...(p^r - 1); the empty product (r=0) is 1."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     _check_base(p)
-    return prod(p**s - 1 for s in range(1, r + 1))
+    out = 1
+    power = 1
+    for _ in range(r):
+        power *= p
+        out *= power - 1
+    return out
 
 
-# (p, row m): the last full row built; the lock serializes moving it.
+# (p, row m): the last full row gaussian_binomial built; the lock serializes its use.
 _row: tuple[int, list[int]] = (0, [1])
 _row_lock = threading.Lock()
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=256)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p).
 
-    From the kept row if it is row n or n-1; else a narrow entry (min(k, n-k) < n/4)
-    builds its own columns <= min(k, n-k), and any other rebuilds and keeps row n.
+    Asked row by row in increasing rank, as the recurrence asks, each row costs
+    one step from the kept row. Other entries with min(k, n-k) < n/4 build only
+    those columns (measured at most a third of a full row's time); wider ones
+    rebuild and keep row n, so a walk that another caller moved resumes.
     """
     global _row
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     _check_base(p)
-    width = min(k, n - k)
     with _row_lock:
         base, row = _row
-        if base == p and n <= len(row) <= n + 1:
-            _row = (p, row if len(row) > n else q_pascal_step(row, p, n))
-            return _row[1][k]
-        if 4 * width >= n:
-            _row = (p, q_pascal_row(n, p, n))
-            return _row[1][k]
-    return q_pascal_row(n, p, width)[-1]
+        if base == p and len(row) == n:
+            row = q_pascal_step(row, p, n)
+        elif base != p or len(row) != n + 1:
+            if 4 * min(k, n - k) < n:
+                return q_pascal_row(n, p, min(k, n - k))[-1]
+            row = q_pascal_row(n, p, n)
+        _row = (p, row)
+        return row[k]
 
 
 def q_factorial_poly(r: int) -> IntPolynomial:
     """q_factorial with the base left symbolic: the product of (X^s - 1) for s = 1..r."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    return prod((IntPolynomial.monomial(s) - 1 for s in range(1, r + 1)), start=ONE)
+    out = ONE
+    for s in range(1, r + 1):
+        out = out * (IntPolynomial.monomial(s) - 1)
+    return out
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=256)
 def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
     """The q-binomial [n choose k] as a polynomial in the base; its coefficients sum to comb(n, k)."""
     if not 0 <= k <= n:

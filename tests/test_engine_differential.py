@@ -143,6 +143,15 @@ def test_kept_row_follows_row_order_and_survives_any_other():
         assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
 
 
+def test_recurrence_resumes_its_walk_after_the_polynomial_moves_it():
+    chains.clear_caches()
+    assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
+    assert bounded_chains_poly(9) == ref_bounded_poly(9)  # walks rows at p = 2^K
+    assert qarith._row[0] != 3
+    assert bounded_chains_recurrence(52, 3) == ref_bounded(52, 3)
+    assert qarith._row == (3, [ref_gaussian_binomial(52, k, 3) for k in range(53)])
+
+
 def test_memo_keeps_only_the_most_recent_base():
     assert bounded_chains_recurrence(30, 5) == ref_bounded(30, 5)
     assert bounded_chains_recurrence(20, 7) == ref_bounded(20, 7)
