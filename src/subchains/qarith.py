@@ -15,7 +15,6 @@ primality, and the lattice module enforces that separately.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
@@ -64,9 +63,10 @@ def q_factorial(r: int, p: int) -> int:
     return out
 
 
-# (p, row m): the last full row gaussian_binomial built; the lock serializes its use.
+# (p, row m): the last full row gaussian_binomial built. Rows are never changed
+# in place and each call reads its own snapshot, so threads that race to replace
+# it cost each other at most a rebuild and never a wrong value: no lock needed.
 _row: tuple[int, list[int]] = (0, [1])
-_row_lock = threading.Lock()
 
 
 @lru_cache(maxsize=256)
@@ -82,16 +82,15 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     _check_base(p)
-    with _row_lock:
-        base, row = _row
-        if base == p and len(row) == n:
-            row = q_pascal_step(row, p, n)
-        elif base != p or len(row) != n + 1:
-            if 4 * min(k, n - k) < n:
-                return q_pascal_row(n, p, min(k, n - k))[-1]
-            row = q_pascal_row(n, p, n)
-        _row = (p, row)
-        return row[k]
+    base, row = _row
+    if base == p and len(row) == n:
+        row = q_pascal_step(row, p, n)
+    elif base != p or len(row) != n + 1:
+        if 4 * min(k, n - k) < n:
+            return q_pascal_row(n, p, min(k, n - k))[-1]
+        row = q_pascal_row(n, p, n)
+    _row = (p, row)
+    return row[k]
 
 
 def q_factorial_poly(r: int) -> IntPolynomial:

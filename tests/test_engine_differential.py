@@ -161,14 +161,20 @@ def test_memo_keeps_only_the_most_recent_base():
 
 
 def test_threads_switching_bases_get_exact_counts():
-    # Every job on a new base resets the one-base memo under the others' feet.
+    # Every job on a new base resets the one-base memo and moves the kept
+    # binomial row under the others' feet; the polynomial half of each job
+    # moves the row without holding the memo's lock.
     jobs = [(n, p) for n in (25, 40) for p in (2, 3, 10)] * 4
-    expected = [ref_bounded(n, p) for n, p in jobs]
+    expected = [(ref_bounded(n, p), ref_bounded(n // 2, p)) for n, p in jobs]
+
+    def job(n, p):
+        return bounded_chains_recurrence(n, p), bounded_chains_poly(n // 2).evaluate(p)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            results = list(pool.map(lambda job: bounded_chains_recurrence(*job), jobs, timeout=60))
+            results = list(pool.map(lambda args: job(*args), jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
