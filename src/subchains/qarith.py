@@ -69,6 +69,8 @@ def q_factorial(r: int, p: int) -> int:
 _row: tuple[int, list[int]] = (0, [1])
 
 
+# The benchmark's tracer (bench/launcher.py) times this layer through the two
+# lru_caches here; no timed workload relies on their hits.
 @lru_cache(maxsize=256)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p).
