@@ -26,7 +26,6 @@ Gaussian binomials between consecutive ones (the empty subset contributes 1).
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -34,10 +33,7 @@ from math import comb
 from .polynomial import ONE, IntPolynomial
 from .qarith import _check_base, gaussian_binomial, q_pascal_step
 
-CLOSED_FORM_CAP_ENV = "SUBCHAINS_MAX_N"
 DEFAULT_CLOSED_FORM_CAP = 24
-
-METHODS = ("recurrence", "closed_form")
 
 
 @dataclass(frozen=True)
@@ -88,28 +84,13 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
         return _extend(_memo[1], n, lambda m, k: gaussian_binomial(m, k, p))
 
 
-def closed_form_cap() -> int:
-    """Largest rank accepted by bounded_chains_closed_form, from the environment."""
-    raw = os.environ.get(CLOSED_FORM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CLOSED_FORM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CLOSED_FORM_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
-def check_closed_form_rank(n: int, cap: int | None = None) -> None:
-    """Refuse ranks above the cap: default 24, or the cap argument, or SUBCHAINS_MAX_N."""
-    cap = closed_form_cap() if cap is None else cap
+def check_closed_form_rank(n: int, cap: int = DEFAULT_CLOSED_FORM_CAP) -> None:
+    """Refuse ranks above the cap on the exponential closed form (the recurrence has none)."""
     if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the closed-form enumeration cap of {cap}; "
-            f"use the recurrence, or raise the cap via {CLOSED_FORM_CAP_ENV}"
-        )
+        raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {cap}")
 
 
-def bounded_chains_closed_form(n: int, p: int, cap: int | None = None) -> int:
+def bounded_chains_closed_form(n: int, p: int, cap: int = DEFAULT_CLOSED_FORM_CAP) -> int:
     """Same count as bounded_chains_recurrence, by direct subset enumeration.
 
     Sums over all 2^(n-1) subsets of {1, ..., n-1}, depth first. A subset read
@@ -135,19 +116,9 @@ def bounded_chains_closed_form(n: int, p: int, cap: int | None = None) -> int:
     return total
 
 
-def chain_counts(n: int, p: int, method: str = "recurrence", cap: int | None = None) -> ChainCounts:
-    """All three chain tallies for Z_p^n.
-
-    method selects how the bounded count is computed: "recurrence" (default,
-    unbounded rank) or "closed_form" (subset enumeration, capped rank).
-    """
-    if method == "recurrence":
-        bounded = bounded_chains_recurrence(n, p)
-    elif method == "closed_form":
-        bounded = bounded_chains_closed_form(n, p, cap=cap)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    rooted = 1 if n == 0 else 2 * bounded
+def chain_counts(n: int, p: int) -> ChainCounts:
+    """All three chain tallies for Z_p^n, from the recurrence."""
+    rooted = 1 if n == 0 else 2 * bounded_chains_recurrence(n, p)
     return ChainCounts.from_rooted(rooted)
 
 

@@ -11,12 +11,13 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from time import perf_counter
 
 from . import chains, lattice, qarith
-from .chains import CLOSED_FORM_CAP_ENV, DEFAULT_CLOSED_FORM_CAP
-from .lattice import DEFAULT_NODE_BUDGET, NODE_BUDGET_ENV
+from .chains import DEFAULT_CLOSED_FORM_CAP
+from .lattice import DEFAULT_NODE_BUDGET
 
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
 FORMATS = ("text", "json", "csv")
@@ -24,6 +25,22 @@ FORMATS = ("text", "json", "csv")
 DEFAULT_VERIFY_PRIMES = (2, 3, 5, 7)
 DEFAULT_VERIFY_MAX_N = 10
 DEFAULT_VERIFY_GRID = ((2, 4), (3, 3), (5, 2), (7, 2))
+
+CLOSED_FORM_CAP_ENV = "SUBCHAINS_MAX_N"
+NODE_BUDGET_ENV = "SUBCHAINS_ORACLE_BUDGET"
+
+
+def _setting(name: str, default: int, flag: int | None = None) -> int:
+    """The flag's value if given, else the integer in environment variable name, else default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _record(p, n: int, counts: chains.ChainCounts, method: str, elapsed_ms: float) -> dict:
@@ -66,11 +83,14 @@ def _print_records(records: list[dict], fmt: str) -> None:
             writer.writerow([record[key] for key in RECORD_KEYS])
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def _counts_record(p: int, n: int) -> dict:
     start = perf_counter()
-    counts = chains.chain_counts(args.n, args.p, method=args.method)
-    record = _record(args.p, args.n, counts, args.method, (perf_counter() - start) * 1000.0)
-    _print_records([record], args.format)
+    counts = chains.chain_counts(n, p)
+    return _record(p, n, counts, "recurrence", (perf_counter() - start) * 1000.0)
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    _print_records([_counts_record(args.p, args.n)], args.format)
     return 0
 
 
@@ -88,12 +108,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
-    records = []
-    for n in range(args.max_n + 1):
-        start = perf_counter()
-        counts = chains.chain_counts(n, args.p, method=args.method)
-        records.append(_record(args.p, n, counts, args.method, (perf_counter() - start) * 1000.0))
-    _print_records(records, args.format)
+    _print_records([_counts_record(args.p, n) for n in range(args.max_n + 1)], args.format)
     return 0
 
 
@@ -137,11 +152,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         grid = []
 
-    # Refuse over-limit requests before the first check runs or prints.
+    # Refuse bad or over-limit requests before the first check runs or prints.
     if run_methods:
-        chains.check_closed_form_rank(max_n)
-    for p, n_hi in grid:
-        lattice.check_size(p, n_hi, args.budget)
+        if min(primes) < 2:
+            raise ValueError(f"base p must be >= 2, got {min(primes)}")
+        if max_n < 0:
+            raise ValueError(f"--max-n must be >= 0, got {max_n}")
+        cap = _setting(CLOSED_FORM_CAP_ENV, DEFAULT_CLOSED_FORM_CAP)
+        chains.check_closed_form_rank(max_n, cap)
+    if grid:
+        budget = _setting(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET, args.budget)
+        for p, n_hi in grid:
+            lattice.check_size(p, n_hi, budget)
 
     passed = 0
     failed = 0
@@ -158,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for p in primes:
             for n in range(max_n + 1):
                 a = chains.bounded_chains_recurrence(n, p)
-                b = chains.bounded_chains_closed_form(n, p)
+                b = chains.bounded_chains_closed_form(n, p, cap=cap)
                 if a == b:
                     report("methods-agree", True, f"p={p} n={n} ({2 * a if n else 1} rooted)")
                 else:
@@ -166,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for p, n_hi in grid:
         for n in range(1, n_hi + 1):
-            lat = lattice.build_lattice(p, n, budget=args.budget)
+            lat = lattice.build_lattice(p, n, budget=budget)
             oracle = lattice.count_chains(lat)
             formula = chains.chain_counts(n, p)
             ok = oracle.counts.rooted == formula.rooted
@@ -199,14 +221,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     # Validate the request and open the dump file before the lattice is built,
     # so a bad path costs nothing and leaves no half-done work.
-    lattice.check_size(args.p, args.n, args.budget)
+    budget = _setting(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET, args.budget)
+    lattice.check_size(args.p, args.n, budget)
     try:
         dump = open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write the lattice dump: {exc}") from None
     with dump:
         start = perf_counter()
-        lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
+        lat = lattice.build_lattice(args.p, args.n, budget=budget)
         oracle = lattice.count_chains(lat)
         elapsed_ms = (perf_counter() - start) * 1000.0
         if args.dump:
@@ -239,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
             "as polynomials in p, with a brute-force subgroup-lattice verifier."
         ),
         epilog=(
-            f"Environment: {CLOSED_FORM_CAP_ENV} overrides the closed-form enumeration cap "
-            f"(default {DEFAULT_CLOSED_FORM_CAP}); {NODE_BUDGET_ENV} overrides the lattice "
-            f"node budget (default {DEFAULT_NODE_BUDGET}). "
+            f"Environment: {CLOSED_FORM_CAP_ENV} sets the closed-form enumeration cap of verify "
+            f"(default {DEFAULT_CLOSED_FORM_CAP}); {NODE_BUDGET_ENV} sets the lattice node budget "
+            f"of verify and oracle (default {DEFAULT_NODE_BUDGET}), and --budget overrides it. "
             "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error."
         ),
     )
@@ -250,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="chain counts for one (p, n)")
     count.add_argument("--p", type=int, required=True, help="base of the group, any integer >= 2")
     count.add_argument("--n", type=int, required=True, help="rank of the group, >= 0")
-    count.add_argument("--method", choices=chains.METHODS, default="recurrence", help="how to compute the count")
     count.add_argument("--format", choices=FORMATS, default="text")
     count.set_defaults(func=cmd_count)
 
@@ -267,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="chain counts for n = 0..max-n at fixed p")
     table.add_argument("--p", type=int, required=True, help="base of the group, any integer >= 2")
     table.add_argument("--max-n", type=int, required=True, help="largest rank to tabulate")
-    table.add_argument("--method", choices=chains.METHODS, default="recurrence")
     table.add_argument("--format", choices=FORMATS, default="text", help="json emits one record per line")
     table.set_defaults(func=cmd_table)
 
@@ -286,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", help="comma-separated bases for the method-equivalence check")
     verify.add_argument("--max-n", type=int, help="largest rank for the method-equivalence check")
     verify.add_argument("--oracle", help="lattice comparison grid, e.g. 2:4,3:3 (p:max_n)")
-    verify.add_argument("--budget", type=int, help="lattice node budget override")
+    verify.add_argument("--budget", type=int, help=f"lattice node budget, overriding {NODE_BUDGET_ENV}")
     verify.set_defaults(func=cmd_verify)
 
     oracle = sub.add_parser("oracle", help="brute-force lattice counts for one (p, n)")
     oracle.add_argument("--p", type=int, required=True, help="prime base of the group")
     oracle.add_argument("--n", type=int, required=True, help="rank of the group, >= 0")
     oracle.add_argument("--dump", metavar="PATH", help="write the full lattice (nodes and edges) to a file")
-    oracle.add_argument("--budget", type=int, help="lattice node budget override")
+    oracle.add_argument("--budget", type=int, help=f"lattice node budget, overriding {NODE_BUDGET_ENV}")
     oracle.add_argument("--format", choices=FORMATS, default="text")
     oracle.set_defaults(func=cmd_oracle)
 

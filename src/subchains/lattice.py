@@ -14,7 +14,6 @@ arithmetic is plain integer remainder mod p, which requires p prime.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
@@ -22,7 +21,6 @@ from typing import Iterable, Iterator
 from .chains import ChainCounts
 from .qarith import galois_number
 
-NODE_BUDGET_ENV = "SUBCHAINS_ORACLE_BUDGET"
 DEFAULT_NODE_BUDGET = 100_000
 
 
@@ -45,29 +43,26 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def node_budget() -> int:
-    """Largest lattice size this module will materialize, from the environment."""
-    raw = os.environ.get(NODE_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{NODE_BUDGET_ENV} must be an integer, got {raw!r}") from None
+def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
+    """Refuse a lattice of negative rank, over the node budget, or over a non-prime base.
 
-
-def check_size(p: int, n: int, budget: int | None = None) -> None:
-    """Refuse a lattice over a non-prime base, of negative rank, or over the node budget."""
-    _check_prime(p)
+    Two bounds on the node count G_n(p) refuse the plainly oversized before
+    any work scales with n or p: G_n(p) >= 2^n, as [n k]_p >= C(n, k), and
+    G_n(p) > p once n >= 2. Bases above the budget are refused at every rank,
+    which turns away only lattices of 1 or 2 nodes besides. The primality
+    test then costs at most sqrt(budget) divisions, and the exact size,
+    computed last, a rank of at most budget.bit_length().
+    """
     if n < 0:
         raise ValueError(f"rank n must be >= 0, got {n}")
-    limit = node_budget() if budget is None else budget
+    if n > budget.bit_length():
+        raise ValueError(f"a rank-{n} subspace lattice has at least 2^{n} nodes, over the budget of {budget}")
+    if p > budget:
+        raise ValueError(f"p={p} is over the node budget of {budget}; F_p^n has more than p subspaces once n >= 2")
+    _check_prime(p)
     nodes = galois_number(n, p)
-    if nodes > limit:
-        raise ValueError(
-            f"the subspace lattice of F_{p}^{n} has {nodes} nodes, over the budget of {limit}; "
-            f"raise it via {NODE_BUDGET_ENV} or the budget argument"
-        )
+    if nodes > budget:
+        raise ValueError(f"the subspace lattice of F_{p}^{n} has {nodes} nodes, over the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class Subspace:
         return True
 
 
-def enumerate_subspaces(p: int, n: int, k: int, budget: int | None = None) -> list[Subspace]:
+def enumerate_subspaces(p: int, n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Subspace]:
     """Every k-dimensional subspace of F_p^n exactly once, in canonical RREF.
 
     Walks the echelon shapes directly: choose the k pivot columns, then sweep
@@ -197,7 +192,7 @@ class SubgroupLattice:
             yield f"edge {sub} {sup}"
 
 
-def build_lattice(p: int, n: int, budget: int | None = None) -> SubgroupLattice:
+def build_lattice(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> SubgroupLattice:
     """Materialize the full subspace lattice of F_p^n, within the node budget.
 
     Containment is stored as the full strict relation, not just covers,

@@ -28,7 +28,7 @@ def test_recurrence_examples(n, p, expected):
     assert bounded_chains_recurrence(n, p) == expected
 
 
-@pytest.mark.parametrize("n,p,expected", [(1, 5, 1), (2, 3, 5), (4, 2, 696)])
+@pytest.mark.parametrize("n,p,expected", [(1, 5, 1), (2, 3, 5), (4, 2, 696), (0, 2, 1), (1, 7, 1), (3, 2, 36)])
 def test_closed_form_examples(n, p, expected):
     assert bounded_chains_closed_form(n, p) == expected
 
@@ -43,7 +43,6 @@ def test_closed_form_examples(n, p, expected):
 )
 def test_chain_counts_examples(n, p, expected):
     assert chain_counts(n, p) == expected
-    assert chain_counts(n, p, method="closed_form") == expected
 
 
 def test_methods_agree_on_small_grid():
@@ -59,8 +58,6 @@ def test_domain_violations():
         bounded_chains_recurrence(-1, 2)
     with pytest.raises(ValueError):
         bounded_chains_closed_form(3, 0)
-    with pytest.raises(ValueError):
-        chain_counts(3, 2, method="guesswork")
 
 
 def test_closed_form_cap():
@@ -69,16 +66,6 @@ def test_closed_form_cap():
     with pytest.raises(ValueError, match="cap"):
         bounded_chains_closed_form(6, 2, cap=5)
     assert bounded_chains_closed_form(6, 2, cap=6) == bounded_chains_recurrence(6, 2)
-
-
-def test_closed_form_cap_env_override(monkeypatch):
-    monkeypatch.setenv(chains.CLOSED_FORM_CAP_ENV, "5")
-    with pytest.raises(ValueError, match="cap"):
-        bounded_chains_closed_form(6, 2)
-    assert bounded_chains_closed_form(5, 2) == bounded_chains_recurrence(5, 2)
-    monkeypatch.setenv(chains.CLOSED_FORM_CAP_ENV, "never")
-    with pytest.raises(ValueError, match=chains.CLOSED_FORM_CAP_ENV):
-        bounded_chains_closed_form(3, 2)
 
 
 def test_bounded_poly_examples():

@@ -6,8 +6,9 @@ from time import perf_counter
 import pytest
 
 from subchains import chains
-from subchains.chains import chain_counts
-from subchains.cli import RECORD_KEYS, main
+from subchains.chains import bounded_chains_closed_form, bounded_chains_recurrence, chain_counts
+from subchains.cli import CLOSED_FORM_CAP_ENV, NODE_BUDGET_ENV, RECORD_KEYS, build_parser, main
+from subchains.lattice import DEFAULT_NODE_BUDGET, build_lattice, count_chains
 
 
 def run_cli(argv, capsys):
@@ -28,13 +29,6 @@ def test_count_rank_zero(capsys):
     code, out, _ = run_cli(["count", "--p", "2", "--n", "0"], capsys)
     assert code == 0
     assert "F=1 D=0 C=1" in out
-
-
-def test_count_closed_form(capsys):
-    code, out, _ = run_cli(["count", "--p", "3", "--n", "2", "--method", "closed_form"], capsys)
-    assert code == 0
-    assert "F=10 D=9 C=19" in out
-    assert "method=closed_form" in out
 
 
 def test_count_json_round_trips(capsys):
@@ -60,16 +54,22 @@ def test_count_csv(capsys):
     [
         (["count", "--p", "1", "--n", "3"], ">= 2"),
         (["count", "--p", "2", "--n", "-1"], ">= 0"),
-        (["count", "--p", "2", "--n", "30", "--method", "closed_form"], "cap"),
+        (["verify", "--p", "3", "--max-n", "25"], "cap"),
         (["table", "--p", "2", "--max-n", "-2"], ">= 0"),
         (["oracle", "--p", "4", "--n", "2"], "prime"),
         (["verify", "--p", "2", "--max-n", "4", "--oracle", "nonsense"], "p:max_n"),
+        (["verify", "--p", "2,1", "--max-n", "3"], ">= 2"),
+        (["verify", "--max-n", "-1"], ">= 0"),
+        (["oracle", "--p", "2", "--n", "1600"], "2^1600"),
+        (["oracle", "--p", "100000000000031", "--n", "1"], "budget"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert needle in err
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -224,3 +224,53 @@ def test_full_precision_rendering(capsys):
     assert record["F"] == str(expected.rooted)
     assert record["C"] == str(expected.total)
     assert len(record["F"]) > 35  # genuinely past any float precision
+
+
+def test_closed_form_cap_env_override(monkeypatch, capsys):
+    monkeypatch.setenv(CLOSED_FORM_CAP_ENV, "5")
+    code, out, err = run_cli(["verify", "--p", "2", "--max-n", "6"], capsys)
+    assert code == 2 and out == ""
+    assert "cap of 5" in err
+    assert run_cli(["verify", "--p", "2", "--max-n", "5"], capsys)[0] == 0
+    monkeypatch.setenv(CLOSED_FORM_CAP_ENV, "never")
+    code, out, err = run_cli(["verify", "--p", "2", "--max-n", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {CLOSED_FORM_CAP_ENV} must be an integer")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_budget_env_override(monkeypatch, capsys):
+    monkeypatch.setenv(NODE_BUDGET_ENV, "4")
+    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "5 nodes, over the budget of 4" in err
+    assert run_cli(["verify", "--oracle", "2:2"], capsys)[0] == 2
+    monkeypatch.setenv(NODE_BUDGET_ENV, "5")
+    code, out, _ = run_cli(["oracle", "--p", "2", "--n", "2"], capsys)
+    assert code == 0 and "total_subgroups: 5" in out
+    monkeypatch.setenv(NODE_BUDGET_ENV, "lots")
+    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {NODE_BUDGET_ENV} must be an integer")
+    assert len(err.strip().splitlines()) == 1
+    # --budget beats the environment, even a malformed one
+    for budget in ("4", "lots"):
+        monkeypatch.setenv(NODE_BUDGET_ENV, budget)
+        assert run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "5"], capsys)[0] == 0
+        assert run_cli(["verify", "--oracle", "2:2", "--budget", "5"], capsys)[0] == 0
+
+
+def test_default_budget_is_documented_value(monkeypatch, capsys):
+    monkeypatch.delenv(NODE_BUDGET_ENV, raising=False)
+    assert f"default {DEFAULT_NODE_BUDGET}" in " ".join(build_parser().format_help().split())
+    code, _, err = run_cli(["oracle", "--p", "2", "--n", "9"], capsys)
+    assert code == 2
+    assert f"over the budget of {DEFAULT_NODE_BUDGET}" in err
+
+
+def test_library_calls_ignore_the_environment(monkeypatch):
+    for cap, budget in (("5", "4"), ("never", "never")):
+        monkeypatch.setenv(CLOSED_FORM_CAP_ENV, cap)
+        monkeypatch.setenv(NODE_BUDGET_ENV, budget)
+        assert bounded_chains_closed_form(6, 2) == bounded_chains_recurrence(6, 2)
+        assert count_chains(build_lattice(2, 2)).total_subgroups == 5

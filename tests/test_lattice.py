@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,10 @@ from subchains.lattice import (
     OracleCounts,
     Subspace,
     build_lattice,
+    check_size,
     count_chains,
     enumerate_subspaces,
     is_prime,
-    node_budget,
 )
 from subchains.qarith import galois_number, gaussian_binomial
 
@@ -72,13 +73,27 @@ def test_budget_refusal_names_the_size():
         build_lattice(2, 10, budget=1000)
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("SUBCHAINS_ORACLE_BUDGET", "4")
-    assert node_budget() == 4
-    with pytest.raises(ValueError, match="budget"):
-        build_lattice(2, 2)
-    monkeypatch.setenv("SUBCHAINS_ORACLE_BUDGET", "5")
-    assert count_chains(build_lattice(2, 2)).total_subgroups == 5
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 101]), n=st.integers(0, 12), budget=st.integers(0, 3000))
+@settings(max_examples=300, deadline=None)
+def test_budget_bounds_refuse_only_what_the_exact_size_would(p, n, budget):
+    # The one rule beyond the exact size: bases above the budget are refused,
+    # which only bites at ranks 0 and 1, whose lattices have 1 and 2 nodes.
+    fits = galois_number(n, p) <= budget and p <= budget
+    try:
+        check_size(p, n, budget)
+    except ValueError:
+        assert not fits
+    else:
+        assert fits
+
+
+@pytest.mark.parametrize("p,n", [(2, 1600), (100_000_000_000_031, 1), (2**127 - 1, 3)])
+def test_budget_refuses_huge_requests_without_sizing_them(p, n):
+    start = perf_counter()
+    with pytest.raises(ValueError, match=f"budget of {DEFAULT_NODE_BUDGET}") as refusal:
+        check_size(p, n)
+    assert perf_counter() - start < 0.5
+    assert len(str(refusal.value)) < 200
 
 
 def test_is_subspace_of_examples():
@@ -221,10 +236,6 @@ def test_dump_format():
     # 3 lines over the origin plus 4 proper subspaces under the plane
     assert len(edge_lines) == 7
     assert edge_lines == sorted(edge_lines, key=lambda s: tuple(map(int, s.split()[1:])))
-
-
-def test_default_budget_is_documented_value():
-    assert node_budget() == DEFAULT_NODE_BUDGET
 
 
 def test_oracle_counts_is_a_plain_record():
