@@ -30,10 +30,11 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
+from . import qarith
 from .polynomial import ONE, IntPolynomial
 from .qarith import _check_base, gaussian_binomial, q_pascal_step
 
-DEFAULT_CLOSED_FORM_CAP = 24
+CLOSED_FORM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,13 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
         return _extend(_memo[1], n, lambda m, k: gaussian_binomial(m, k, p))
 
 
-def check_closed_form_rank(n: int, cap: int = DEFAULT_CLOSED_FORM_CAP) -> None:
+def check_closed_form_rank(n: int) -> None:
     """Refuse ranks above the cap on the exponential closed form (the recurrence has none)."""
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {cap}")
+    if n > CLOSED_FORM_CAP:
+        raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
 
 
-def bounded_chains_closed_form(n: int, p: int, cap: int = DEFAULT_CLOSED_FORM_CAP) -> int:
+def bounded_chains_closed_form(n: int, p: int) -> int:
     """Same count as bounded_chains_recurrence, by direct subset enumeration.
 
     Sums over all 2^(n-1) subsets of {1, ..., n-1}, depth first. A subset read
@@ -102,7 +103,7 @@ def bounded_chains_closed_form(n: int, p: int, cap: int = DEFAULT_CLOSED_FORM_CA
     """
     _check_rank(n)
     _check_base(p)
-    check_closed_form_rank(n, cap)
+    check_closed_form_rank(n)
     rows = [[1]]
     for _ in range(n):
         rows.append(q_pascal_step(rows[-1], p, n))
@@ -143,7 +144,10 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
 
 
 def clear_caches() -> None:
-    """Drop the recurrence memo (useful for benchmarks and test isolation)."""
+    """Leave the engine cold: drop the recurrence memo, the binomial caches and the kept row."""
     global _memo
     with _memo_lock:
         _memo = (0, [1])
+    qarith.gaussian_binomial.cache_clear()
+    qarith.gaussian_binomial_poly.cache_clear()
+    qarith._row = (0, [1])

@@ -11,12 +11,11 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 from time import perf_counter
 
 from . import chains, lattice, qarith
-from .chains import DEFAULT_CLOSED_FORM_CAP
+from .chains import CLOSED_FORM_CAP
 from .lattice import DEFAULT_NODE_BUDGET
 
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
@@ -25,22 +24,6 @@ FORMATS = ("text", "json", "csv")
 DEFAULT_VERIFY_PRIMES = (2, 3, 5, 7)
 DEFAULT_VERIFY_MAX_N = 10
 DEFAULT_VERIFY_GRID = ((2, 4), (3, 3), (5, 2), (7, 2))
-
-CLOSED_FORM_CAP_ENV = "SUBCHAINS_MAX_N"
-NODE_BUDGET_ENV = "SUBCHAINS_ORACLE_BUDGET"
-
-
-def _setting(name: str, default: int, flag: int | None = None) -> int:
-    """The flag's value if given, else the integer in environment variable name, else default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _record(p, n: int, counts: chains.ChainCounts, method: str, elapsed_ms: float) -> dict:
@@ -143,9 +126,9 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     default_run = args.p is None and args.max_n is None and args.oracle is None
     run_methods = default_run or args.p is not None or args.max_n is not None
-    primes = _parse_int_list(args.p, "--p") if args.p else list(DEFAULT_VERIFY_PRIMES)
+    primes = _parse_int_list(args.p, "--p") if args.p is not None else list(DEFAULT_VERIFY_PRIMES)
     max_n = args.max_n if args.max_n is not None else DEFAULT_VERIFY_MAX_N
-    if args.oracle:
+    if args.oracle is not None:
         grid = _parse_grid(args.oracle)
     elif default_run:
         grid = list(DEFAULT_VERIFY_GRID)
@@ -158,12 +141,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"base p must be >= 2, got {min(primes)}")
         if max_n < 0:
             raise ValueError(f"--max-n must be >= 0, got {max_n}")
-        cap = _setting(CLOSED_FORM_CAP_ENV, DEFAULT_CLOSED_FORM_CAP)
-        chains.check_closed_form_rank(max_n, cap)
-    if grid:
-        budget = _setting(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET, args.budget)
-        for p, n_hi in grid:
-            lattice.check_size(p, n_hi, budget)
+        chains.check_closed_form_rank(max_n)
+    for p, n_hi in grid:
+        if n_hi < 1:
+            raise ValueError(f"--oracle entry {p}:{n_hi} checks no rank; max_n must be >= 1")
+        lattice.check_size(p, n_hi, args.budget)
 
     passed = 0
     failed = 0
@@ -180,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for p in primes:
             for n in range(max_n + 1):
                 a = chains.bounded_chains_recurrence(n, p)
-                b = chains.bounded_chains_closed_form(n, p, cap=cap)
+                b = chains.bounded_chains_closed_form(n, p)
                 if a == b:
                     report("methods-agree", True, f"p={p} n={n} ({2 * a if n else 1} rooted)")
                 else:
@@ -188,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for p, n_hi in grid:
         for n in range(1, n_hi + 1):
-            lat = lattice.build_lattice(p, n, budget=budget)
+            lat = lattice.build_lattice(p, n, budget=args.budget)
             oracle = lattice.count_chains(lat)
             formula = chains.chain_counts(n, p)
             ok = oracle.counts.rooted == formula.rooted
@@ -221,15 +203,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     # Validate the request and open the dump file before the lattice is built,
     # so a bad path costs nothing and leaves no half-done work.
-    budget = _setting(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET, args.budget)
-    lattice.check_size(args.p, args.n, budget)
+    lattice.check_size(args.p, args.n, args.budget)
     try:
         dump = open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write the lattice dump: {exc}") from None
     with dump:
         start = perf_counter()
-        lat = lattice.build_lattice(args.p, args.n, budget=budget)
+        lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
         oracle = lattice.count_chains(lat)
         elapsed_ms = (perf_counter() - start) * 1000.0
         if args.dump:
@@ -262,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
             "as polynomials in p, with a brute-force subgroup-lattice verifier."
         ),
         epilog=(
-            f"Environment: {CLOSED_FORM_CAP_ENV} sets the closed-form enumeration cap of verify "
-            f"(default {DEFAULT_CLOSED_FORM_CAP}); {NODE_BUDGET_ENV} sets the lattice node budget "
-            f"of verify and oracle (default {DEFAULT_NODE_BUDGET}), and --budget overrides it. "
+            f"Limits: verify refuses closed-form ranks above {CLOSED_FORM_CAP}; verify and oracle "
+            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}). "
             "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error."
         ),
     )
@@ -307,14 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", help="comma-separated bases for the method-equivalence check")
     verify.add_argument("--max-n", type=int, help="largest rank for the method-equivalence check")
     verify.add_argument("--oracle", help="lattice comparison grid, e.g. 2:4,3:3 (p:max_n)")
-    verify.add_argument("--budget", type=int, help=f"lattice node budget, overriding {NODE_BUDGET_ENV}")
+    verify.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="lattice node budget (default %(default)s)"
+    )
     verify.set_defaults(func=cmd_verify)
 
     oracle = sub.add_parser("oracle", help="brute-force lattice counts for one (p, n)")
     oracle.add_argument("--p", type=int, required=True, help="prime base of the group")
     oracle.add_argument("--n", type=int, required=True, help="rank of the group, >= 0")
     oracle.add_argument("--dump", metavar="PATH", help="write the full lattice (nodes and edges) to a file")
-    oracle.add_argument("--budget", type=int, help=f"lattice node budget, overriding {NODE_BUDGET_ENV}")
+    oracle.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="lattice node budget (default %(default)s)"
+    )
     oracle.add_argument("--format", choices=FORMATS, default="text")
     oracle.set_defaults(func=cmd_oracle)
 

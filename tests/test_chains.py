@@ -1,9 +1,11 @@
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 
 import pytest
 
-from subchains import chains
+from subchains import chains, qarith
 from subchains.chains import (
+    CLOSED_FORM_CAP,
     ChainCounts,
     bounded_chains_closed_form,
     bounded_chains_poly,
@@ -61,11 +63,10 @@ def test_domain_violations():
 
 
 def test_closed_form_cap():
-    with pytest.raises(ValueError, match="cap"):
-        bounded_chains_closed_form(30, 2)
-    with pytest.raises(ValueError, match="cap"):
-        bounded_chains_closed_form(6, 2, cap=5)
-    assert bounded_chains_closed_form(6, 2, cap=6) == bounded_chains_recurrence(6, 2)
+    start = perf_counter()
+    with pytest.raises(ValueError, match=f"cap of {CLOSED_FORM_CAP}"):
+        bounded_chains_closed_form(CLOSED_FORM_CAP + 1, 2)
+    assert perf_counter() - start < 0.1
 
 
 def test_bounded_poly_examples():
@@ -117,6 +118,16 @@ def test_rooted_count_strictly_increases_in_base():
     for n in range(2, 9):
         values = [chain_counts(n, p).rooted for p in (2, 3, 5, 7, 11)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_clear_caches_leaves_the_engine_cold():
+    rooted_chains_poly(4)
+    qarith.gaussian_binomial_poly(4, 2)
+    chains.clear_caches()
+    assert qarith.gaussian_binomial.cache_info().currsize == 0
+    assert qarith.gaussian_binomial_poly.cache_info().currsize == 0
+    assert qarith._row == (0, [1])
+    assert chains._memo == (0, [1])
 
 
 def test_concurrent_evaluation_matches_serial():

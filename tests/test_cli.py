@@ -6,9 +6,9 @@ from time import perf_counter
 import pytest
 
 from subchains import chains
-from subchains.chains import bounded_chains_closed_form, bounded_chains_recurrence, chain_counts
-from subchains.cli import CLOSED_FORM_CAP_ENV, NODE_BUDGET_ENV, RECORD_KEYS, build_parser, main
-from subchains.lattice import DEFAULT_NODE_BUDGET, build_lattice, count_chains
+from subchains.chains import chain_counts
+from subchains.cli import RECORD_KEYS, build_parser, main
+from subchains.lattice import DEFAULT_NODE_BUDGET
 
 
 def run_cli(argv, capsys):
@@ -62,6 +62,10 @@ def test_count_csv(capsys):
         (["verify", "--max-n", "-1"], ">= 0"),
         (["oracle", "--p", "2", "--n", "1600"], "2^1600"),
         (["oracle", "--p", "100000000000031", "--n", "1"], "budget"),
+        (["verify", "--oracle", "2:0"], "entry 2:0"),
+        (["verify", "--p", "2", "--max-n", "3", "--oracle", "3:2,2:0"], "entry 2:0"),
+        (["verify", "--oracle", ""], "--oracle expects"),
+        (["verify", "--p", "", "--max-n", "1"], "--p expects"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
@@ -144,8 +148,8 @@ def test_verify_default_run(capsys):
 def test_verify_detects_a_corrupted_build(monkeypatch, capsys):
     true_closed_form = chains.bounded_chains_closed_form
 
-    def corrupted(n, p, cap=None):
-        value = true_closed_form(n, p, cap=cap)
+    def corrupted(n, p):
+        value = true_closed_form(n, p)
         return value + 1 if n == 3 else value
 
     monkeypatch.setattr(chains, "bounded_chains_closed_form", corrupted)
@@ -214,6 +218,13 @@ def test_oracle_budget_flag(capsys):
     code, _, err = run_cli(["oracle", "--p", "2", "--n", "4", "--budget", "10"], capsys)
     assert code == 2
     assert "67" in err  # the refusal names the lattice size
+    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "4"], capsys)
+    assert code == 2 and out == ""
+    assert "5 nodes, over the budget of 4" in err
+    assert run_cli(["verify", "--oracle", "2:2", "--budget", "4"], capsys)[0] == 2
+    code, out, _ = run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "5"], capsys)
+    assert code == 0 and "total_subgroups: 5" in out
+    assert run_cli(["verify", "--oracle", "2:2", "--budget", "5"], capsys)[0] == 0
 
 
 def test_full_precision_rendering(capsys):
@@ -226,51 +237,22 @@ def test_full_precision_rendering(capsys):
     assert len(record["F"]) > 35  # genuinely past any float precision
 
 
-def test_closed_form_cap_env_override(monkeypatch, capsys):
-    monkeypatch.setenv(CLOSED_FORM_CAP_ENV, "5")
-    code, out, err = run_cli(["verify", "--p", "2", "--max-n", "6"], capsys)
-    assert code == 2 and out == ""
-    assert "cap of 5" in err
-    assert run_cli(["verify", "--p", "2", "--max-n", "5"], capsys)[0] == 0
-    monkeypatch.setenv(CLOSED_FORM_CAP_ENV, "never")
-    code, out, err = run_cli(["verify", "--p", "2", "--max-n", "3"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {CLOSED_FORM_CAP_ENV} must be an integer")
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_budget_env_override(monkeypatch, capsys):
-    monkeypatch.setenv(NODE_BUDGET_ENV, "4")
-    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2"], capsys)
-    assert code == 2 and out == ""
-    assert "5 nodes, over the budget of 4" in err
-    assert run_cli(["verify", "--oracle", "2:2"], capsys)[0] == 2
-    monkeypatch.setenv(NODE_BUDGET_ENV, "5")
-    code, out, _ = run_cli(["oracle", "--p", "2", "--n", "2"], capsys)
-    assert code == 0 and "total_subgroups: 5" in out
-    monkeypatch.setenv(NODE_BUDGET_ENV, "lots")
-    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {NODE_BUDGET_ENV} must be an integer")
-    assert len(err.strip().splitlines()) == 1
-    # --budget beats the environment, even a malformed one
-    for budget in ("4", "lots"):
-        monkeypatch.setenv(NODE_BUDGET_ENV, budget)
-        assert run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "5"], capsys)[0] == 0
-        assert run_cli(["verify", "--oracle", "2:2", "--budget", "5"], capsys)[0] == 0
-
-
-def test_default_budget_is_documented_value(monkeypatch, capsys):
-    monkeypatch.delenv(NODE_BUDGET_ENV, raising=False)
+def test_default_budget_is_documented_value(capsys):
     assert f"default {DEFAULT_NODE_BUDGET}" in " ".join(build_parser().format_help().split())
+    for command in ("oracle", "verify"):
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        assert f"--budget BUDGET lattice node budget (default {DEFAULT_NODE_BUDGET})" in " ".join(out.split())
     code, _, err = run_cli(["oracle", "--p", "2", "--n", "9"], capsys)
     assert code == 2
     assert f"over the budget of {DEFAULT_NODE_BUDGET}" in err
 
 
-def test_library_calls_ignore_the_environment(monkeypatch):
+def test_cli_ignores_the_environment(monkeypatch, capsys):
+    argv = ["verify", "--p", "2", "--max-n", "6", "--oracle", "2:2"]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
     for cap, budget in (("5", "4"), ("never", "never")):
-        monkeypatch.setenv(CLOSED_FORM_CAP_ENV, cap)
-        monkeypatch.setenv(NODE_BUDGET_ENV, budget)
-        assert bounded_chains_closed_form(6, 2) == bounded_chains_recurrence(6, 2)
-        assert count_chains(build_lattice(2, 2)).total_subgroups == 5
+        monkeypatch.setenv("SUBCHAINS_MAX_N", cap)
+        monkeypatch.setenv("SUBCHAINS_ORACLE_BUDGET", budget)
+        assert run_cli(argv, capsys)[:2] == (0, plain)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from subchains.polynomial import ONE, ZERO, IntPolynomial
 
@@ -42,6 +42,21 @@ def test_evaluate_examples():
     assert ZERO.evaluate(12345) == 0
     f4 = IntPolynomial([16, 24, 36, 36, 24, 12, 2])
     assert f4.evaluate(2) == 1392
+
+
+digit_polys = st.integers(1, 4).flatmap(
+    lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(0, (1 << 8 * width) - 1), max_size=6).map(IntPolynomial)
+    )
+)
+
+
+@given(digit_polys)
+@example((1, ZERO))
+@example((4, IntPolynomial([0xFFFFFFFF, 7])))  # top digit's three high bytes are zero
+def test_from_digits_inverts_evaluation(case):
+    width, poly = case
+    assert IntPolynomial.from_digits(poly.evaluate(1 << 8 * width), width) == poly
 
 
 def test_degree_and_coefficient():
