@@ -218,13 +218,25 @@ def test_oracle_budget_flag(capsys):
     code, _, err = run_cli(["oracle", "--p", "2", "--n", "4", "--budget", "10"], capsys)
     assert code == 2
     assert "67" in err  # the refusal names the lattice size
-    code, out, err = run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "4"], capsys)
-    assert code == 2 and out == ""
-    assert "5 nodes, over the budget of 4" in err
-    assert run_cli(["verify", "--oracle", "2:2", "--budget", "4"], capsys)[0] == 2
-    code, out, _ = run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "5"], capsys)
-    assert code == 0 and "total_subgroups: 5" in out
-    assert run_cli(["verify", "--oracle", "2:2", "--budget", "5"], capsys)[0] == 0
+
+
+def test_budget_env_override(monkeypatch, capsys):
+    # --budget is the one override of the default; a leftover
+    # SUBCHAINS_ORACLE_BUDGET, valid or not, changes nothing
+    for leftover in (None, "5", "4", "lots"):
+        if leftover is None:
+            monkeypatch.delenv("SUBCHAINS_ORACLE_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("SUBCHAINS_ORACLE_BUDGET", leftover)
+        code, out, err = run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "4"], capsys)
+        assert code == 2 and out == ""
+        assert "5 nodes, over the budget of 4" in err
+        assert len(err.strip().splitlines()) == 1
+        assert run_cli(["verify", "--oracle", "2:2", "--budget", "4"], capsys)[0] == 2
+        code, out, _ = run_cli(["oracle", "--p", "2", "--n", "2", "--budget", "5"], capsys)
+        assert code == 0 and "total_subgroups: 5" in out
+        assert run_cli(["verify", "--oracle", "2:2", "--budget", "5"], capsys)[0] == 0
+        assert run_cli(["oracle", "--p", "2", "--n", "2"], capsys)[0] == 0
 
 
 def test_full_precision_rendering(capsys):
