@@ -23,7 +23,7 @@ FORMATS = ("text", "json", "csv")
 
 DEFAULT_VERIFY_PRIMES = (2, 3, 5, 7)
 DEFAULT_VERIFY_MAX_N = 10
-DEFAULT_VERIFY_GRID = ((2, 4), (3, 3), (5, 2), (7, 2))
+DEFAULT_VERIFY_GRID = ((2, 6), (3, 3), (5, 2), (7, 2))
 
 
 def _record(p, n: int, counts: chains.ChainCounts, method: str, elapsed_ms: float) -> dict:

@@ -7,8 +7,16 @@ makes the enumeration duplicate-free and subspace equality structural),
 recording strict containment, and counting chains by dynamic programming
 over the partial order.
 
+Containment is not tested pair by pair. By the image lemma, the proper
+subspaces of a d-dimensional node with RREF basis B are the images U·B of
+the proper RREF subspaces U of F_p^d, and each image is already in RREF
+(B's pivots carry U's), so it names its node by a plain lookup. Building
+the lattice therefore costs the number of comparable pairs, not the square
+of the node count; is_subspace_of stays as the independent reference.
+
 Everything here is exponential in nature and meant for small (p, n); a node
-budget refuses anything larger instead of silently eating memory. Field
+budget refuses anything larger, and so bounds the work: the worst lattice
+the default budget admits, F_223^3, has about 11M comparable pairs. Field
 arithmetic is plain integer remainder mod p, which requires p prime.
 """
 
@@ -192,13 +200,36 @@ class SubgroupLattice:
             yield f"edge {sub} {sup}"
 
 
+def _images(vectors: Iterable[tuple[int, ...]], basis: tuple[tuple[int, ...], ...], p: int) -> list[tuple[int, ...]]:
+    """Each row vector v of F_p^d times the d-row matrix basis, reduced mod p."""
+    columns = list(zip(*basis))
+    return [tuple([sum(map(int.__mul__, v, col)) % p for col in columns]) for v in vectors]
+
+
+def _local_subspaces(p: int, d: int, budget: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The distinct rows of the proper subspaces of F_p^d, and each subspace as the positions of its RREF rows."""
+    subspaces = [s.rows for k in range(d) for s in enumerate_subspaces(p, d, k, budget=budget)]
+    vectors = sorted({row for rows in subspaces for row in rows})
+    slot = {row: i for i, row in enumerate(vectors)}
+    return vectors, [tuple(map(slot.__getitem__, rows)) for rows in subspaces]
+
+
 def build_lattice(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> SubgroupLattice:
     """Materialize the full subspace lattice of F_p^n, within the node budget.
 
     Containment is stored as the full strict relation, not just covers,
-    because the chain-counting pass sums over all proper subspaces. Only
-    pairs with strictly smaller dimension are tested: proper containment
-    between equal-dimension subspaces is impossible.
+    because the chain-counting pass sums over all proper subspaces. It is
+    read off each node's basis rather than tested pair by pair: the proper
+    subspaces of a node X of dimension d with RREF basis B are exactly the
+    images U·B of the proper RREF subspaces U of F_p^d, one each. The image
+    needs no re-reduction, because it is already in RREF: row i of U has its
+    leading 1 in some column c, so its image has zeros left of B's c-th
+    pivot and a 1 on it, and every other row of U is 0 at c, so every other
+    image row is 0 on that pivot. Each image is therefore found by one
+    dictionary lookup of its rows, and the cost is the number of comparable
+    pairs plus one small matrix product per node, not the square of the node
+    count. A broken lemma would surface as a KeyError, never as a wrong
+    relation.
     """
     check_size(p, n, budget)
     nodes: list[Subspace] = []
@@ -206,18 +237,17 @@ def build_lattice(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> Subgroup
         layer = enumerate_subspaces(p, n, k, budget=budget)
         layer.sort(key=lambda s: s.rows)
         nodes.extend(layer)
-    by_dim: dict[int, list[int]] = {}
-    for idx, node in enumerate(nodes):
-        by_dim.setdefault(node.dim, []).append(idx)
+    index = {node.rows: i for i, node in enumerate(nodes)}
+    local = [_local_subspaces(p, d, budget) for d in range(n + 1)]
+    # Tuples here are built from lists, whose length is known. One built from
+    # a bare iterator is resized after it is filled, and CPython's tuple free
+    # lists then keep up to 2000 freed tuples of each size: about 0.5 MB of
+    # peak memory on even the smallest lattices.
     below = []
     for node in nodes:
-        under = [
-            j
-            for d in range(node.dim)
-            for j in by_dim.get(d, ())
-            if nodes[j].is_subspace_of(node)
-        ]
-        below.append(tuple(under))
+        vectors, shapes = local[node.dim]
+        image = _images(vectors, node.rows, p).__getitem__
+        below.append(tuple(sorted([index[tuple([*map(image, shape)])] for shape in shapes])))
     return SubgroupLattice(p, n, tuple(nodes), tuple(below))
 
 

@@ -143,6 +143,11 @@ def test_verify_default_run(capsys):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
     assert "methods-agree" in out and "oracle-rooted" in out
+    *checks, tally = out.splitlines()
+    assert all(line.startswith("PASS ") for line in checks)
+    # the default grid reaches (2,6): 44 formula checks plus 3 per oracle rank
+    assert "PASS oracle-rooted p=2 n=6 (4515776)" in checks
+    assert tally == "83/83 checks passed"
 
 
 def test_verify_detects_a_corrupted_build(monkeypatch, capsys):

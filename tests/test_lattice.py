@@ -9,7 +9,9 @@ from subchains.chains import chain_counts
 from subchains.lattice import (
     DEFAULT_NODE_BUDGET,
     OracleCounts,
+    SubgroupLattice,
     Subspace,
+    _images,
     build_lattice,
     check_size,
     count_chains,
@@ -241,3 +243,59 @@ def test_dump_format():
 def test_oracle_counts_is_a_plain_record():
     oracle = count_chains(build_lattice(2, 1))
     assert oracle == OracleCounts(oracle.counts, (1, 1), 2)
+
+
+def _pairwise_lattice(p, n):
+    """The containment engine build_lattice replaced: every lower-dimension pair, tested by row reduction."""
+    nodes = [s for k in range(n + 1) for s in sorted(enumerate_subspaces(p, n, k), key=lambda s: s.rows)]
+    below = tuple(
+        tuple(j for j, sub in enumerate(nodes) if sub.dim < node.dim and sub.is_subspace_of(node))
+        for node in nodes
+    )
+    return SubgroupLattice(p, n, tuple(nodes), below)
+
+
+DIFFERENTIAL_GRID = (
+    [(2, n) for n in range(6)]
+    + [(3, n) for n in range(1, 5)]
+    + [(p, n) for p in (5, 7, 11, 13) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("p,n", DIFFERENTIAL_GRID)
+def test_build_lattice_matches_pairwise_containment(p, n):
+    lattice = build_lattice(p, n)
+    reference = _pairwise_lattice(p, n)
+    assert lattice == reference
+    assert "\n".join(lattice.dump_lines()) == "\n".join(reference.dump_lines())
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 101]), n=st.integers(0, 8), data=st.data())
+def test_image_of_an_rref_subspace_is_rref(p, n, data):
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    x = Subspace.from_vectors(p, n, data.draw(st.lists(vector, max_size=n)))
+    local = st.lists(st.integers(0, p - 1), min_size=x.dim, max_size=x.dim)
+    u = Subspace.from_vectors(p, x.dim, data.draw(st.lists(local, max_size=x.dim)))
+    mapped = _images(u.rows, x.rows, p)
+    image = Subspace.from_vectors(p, n, mapped)
+    # already canonical: no re-reduction changes the mapped rows
+    assert tuple(mapped) == image.rows
+    assert image.dim == u.dim and image.is_subspace_of(x)
+
+
+def test_oracle_2_6_within_two_seconds():
+    start = perf_counter()
+    oracle = count_chains(build_lattice(2, 6))
+    assert perf_counter() - start < 2.0
+    assert oracle.counts.rooted == chain_counts(6, 2).rooted == 4515776
+    assert oracle.subgroups_by_dim == tuple(gaussian_binomial(6, k, 2) for k in range(7))
+
+
+def test_build_cost_follows_comparable_pairs():
+    # 2,664 nodes and 67,035 pairs; testing every lower pair took 9–12 s
+    start = perf_counter()
+    lattice = build_lattice(3, 5)
+    assert perf_counter() - start < 2.0
+    assert len(lattice.nodes) == 2664
+    assert sum(map(len, lattice.below)) == 67035
