@@ -14,12 +14,20 @@ elementary abelian of smaller rank, giving the recurrence
 
     b_0 = 1,    b_n = sum_{k=0}^{n-1} [n k]_p * b_k.
 
-This one loop counts for every base: it extends b_0..b_m a rank at a time,
-reading row m from qarith.gaussian_binomial in row order, O(n^2) products in
-all. The polynomial in p has non-negative coefficients that sum to the ordered
-Bell number b_n(1), so its value at p = 2^K > b_n(1) holds them as digits.
+Integer counts evaluate it directly, extending b_0..b_m a rank at a time and
+reading row m from qarith.gaussian_binomial in row order: O(n^2) products.
 
-Unrolling it gives a cross-check: a sum over the subsets of {1, ..., n-1},
+Polynomials come from a product-free triangle instead of that binomial sum.
+Let (D b)_k = p^k b_k and (S b)_k = b_{k+1}; then S D = p D S, and the
+q-binomial theorem for q-commuting operators gives ((D + S)^m b)_0 =
+sum_k [m k] b_k = 2 b_m for m >= 1. In T[0] = b, T[j] = (D + S) T[j-1], that
+is T[j][i] = p^i T[j-1][i] + T[j-1][i+1], b_m has coefficient 1 in every
+entry of antidiagonal m, so one pass along it with b_m = 0 lands b_m at
+T[m][0]. At p = 2^K each step is a shift and an addition. The polynomial has
+non-negative coefficients that sum to b_n(1), the ordered Bell number (the
+triangle at p = 1), so its value at p = 2^K > b_n(1) holds them as digits.
+
+Unrolling b_n gives a cross-check: a sum over the subsets of {1, ..., n-1},
 each a chain of intermediate dimensions that contributes the product of the
 Gaussian binomials between consecutive ones (the empty subset contributes 1).
 """
@@ -28,7 +36,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import comb
 
 from . import qarith
 from .polynomial import ONE, IntPolynomial
@@ -61,13 +68,6 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank n must be >= 0, got {n}")
 
 
-def _extend(b: list[int], n: int, binomial) -> int:
-    """Grow b = [b_0..b_m] in place to rank n and return b_n; binomial(m, k) is [m k]."""
-    for m in range(len(b), n + 1):
-        b.append(sum(binomial(m, k) * b[k] for k in range(m)))
-    return b[n]
-
-
 # (p, [b_0..b_m]) for the most recent base only, so memory stays bounded
 # however many bases a process sees; the lock serializes extending it.
 _memo: tuple[int, list[int]] = (0, [1])
@@ -82,7 +82,10 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
     with _memo_lock:
         if _memo[0] != p:
             _memo = (p, [1])
-        return _extend(_memo[1], n, lambda m, k: gaussian_binomial(m, k, p))
+        b = _memo[1]
+        for m in range(len(b), n + 1):
+            b.append(sum(gaussian_binomial(m, k, p) * b[k] for k in range(m)))
+        return b[n]
 
 
 def check_closed_form_rank(n: int) -> None:
@@ -123,12 +126,29 @@ def chain_counts(n: int, p: int) -> ChainCounts:
     return ChainCounts.from_rooted(rooted)
 
 
+def _triangle(n: int, shift: int) -> int:
+    """b_n at p = 2^shift by the antidiagonals of the triangle T: shifts and additions only."""
+    diag = [1]  # antidiagonal m of T: diag[j] = T[j][m-j]
+    for m in range(1, n + 1):
+        acc = 0  # T[j][m-j] with b_m = 0, built from antidiagonal m-1 in place
+        for j in range(m):
+            x, diag[j] = diag[j], acc
+            acc += x << shift * (m - 1 - j)
+        diag.append(acc)  # T[m][0] = 2 b_m - b_m
+        for j in range(m + 1):
+            diag[j] += acc
+    return diag[0]
+
+
 def bounded_chains_poly(n: int) -> IntPolynomial:
-    """Bounded-chain count with the base left symbolic, by Kronecker substitution (no memo)."""
+    """Bounded-chain count with the base left symbolic, by Kronecker substitution (no memo, no lock).
+
+    Both values come from the product-free triangle, not the binomial sum:
+    at p = 1 it gives the digit bound b_n(1), at p = 2^(8 * width) the digits.
+    """
     _check_rank(n)
-    width = -(-_extend([1], n, comb).bit_length() // 8)  # bytes per coefficient
-    base = 1 << 8 * width
-    return IntPolynomial.from_digits(_extend([1], n, lambda m, k: gaussian_binomial(m, k, base)), width)
+    width = -(-_triangle(n, 0).bit_length() // 8)  # bytes per coefficient
+    return IntPolynomial.from_digits(_triangle(n, 8 * width), width)
 
 
 def rooted_chains_poly(n: int) -> IntPolynomial:

@@ -52,7 +52,7 @@ def _check_prime(p: int) -> None:
 
 
 def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
-    """Refuse a lattice of negative rank, over the node budget, or over a non-prime base.
+    """Refuse a negative budget, then a lattice of negative rank, over the budget, or over a non-prime base.
 
     Two bounds on the node count G_n(p) refuse the plainly oversized before
     any work scales with n or p: G_n(p) >= 2^n, as [n k]_p >= C(n, k), and
@@ -61,6 +61,8 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
     test then costs at most sqrt(budget) divisions, and the exact size,
     computed last, a rank of at most budget.bit_length().
     """
+    if budget < 0:
+        raise ValueError(f"the node budget must be >= 0, got {budget}")
     if n < 0:
         raise ValueError(f"rank n must be >= 0, got {n}")
     if n > budget.bit_length():

@@ -108,6 +108,15 @@ def test_degree_law_and_extreme_coefficients():
         assert poly.coeffs[0] == 2**n
 
 
+def test_rooted_poly_60_within_the_target():
+    start = perf_counter()
+    poly = rooted_chains_poly(60)
+    assert perf_counter() - start < 0.3
+    assert poly.degree == 1770
+    assert poly.coeffs[-1] == 2
+    assert poly.coeffs[0] == 2**60
+
+
 def test_rooted_count_strictly_increases_in_rank():
     for p in (2, 3):
         values = [chain_counts(n, p).rooted for n in range(11)]

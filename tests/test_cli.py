@@ -66,6 +66,8 @@ def test_count_csv(capsys):
         (["verify", "--p", "2", "--max-n", "3", "--oracle", "3:2,2:0"], "entry 2:0"),
         (["verify", "--oracle", ""], "--oracle expects"),
         (["verify", "--p", "", "--max-n", "1"], "--p expects"),
+        (["oracle", "--p", "2", "--n", "2", "--budget", "-5"], "budget must be >= 0, got -5"),
+        (["verify", "--oracle", "2:2", "--budget", "-1"], "budget must be >= 0, got -1"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):

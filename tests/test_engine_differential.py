@@ -1,9 +1,12 @@
-"""Differential tests: the q-Pascal row engine against the engines it replaced.
+"""Differential tests: the q-Pascal row engine and the product-free triangle
+against the engines they replaced.
 
 The references below are the earlier implementations, kept here verbatim in
 spirit: Gaussian binomials as an exact ratio of q-factorials, the bounded
 count as a memoized sum over those binomials, and the bounded polynomial as a
-sum of schoolbook IntPolynomial products over Pascal-built q-binomials.
+sum of schoolbook IntPolynomial products over Pascal-built q-binomials. The
+triangle behind the polynomials is also checked against the integer
+recurrence, the engine the polynomials used before it.
 """
 
 import sys
@@ -121,6 +124,33 @@ def test_bounded_poly_evaluates_to_the_recurrence(n, p):
     assert bounded_chains_poly(n).evaluate(p) == bounded_chains_recurrence(n, p)
 
 
+@st.composite
+def triangle_point(draw):
+    # poly --n 40 runs at shift 184. The q-factorial reference needs over a
+    # minute for n = 80 at 2^160, so shifts beyond a machine word stop at n = 32.
+    shift = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 61, 64, 160, 184]))
+    return draw(st.integers(0, 80 if shift <= 8 else 32)), shift
+
+
+@settings(deadline=None, max_examples=60)
+@given(triangle_point())
+def test_triangle_matches_memoized_binomial_sums(point):
+    n, shift = point
+    assert chains._triangle(n, shift) == ref_bounded(n, 2**shift)
+
+
+def test_triangle_at_one_gives_ordered_bell_numbers():
+    # OEIS A000670, the digit bound of the Kronecker unpacking.
+    bell = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563]
+    assert [chains._triangle(n, 0) for n in range(11)] == bell
+
+
+def test_deep_poly_evaluates_to_the_integer_engine():
+    poly = bounded_chains_poly(60)
+    for p in (2, 3, 10**18 + 9):
+        assert poly.evaluate(p) == bounded_chains_recurrence(60, p)
+
+
 def test_rooted_poly_is_twice_the_bounded_poly():
     for n in range(1, 15):
         assert rooted_chains_poly(n) == IntPolynomial(2 * c for c in ref_bounded_poly(n).coeffs)
@@ -143,13 +173,25 @@ def test_kept_row_follows_row_order_and_survives_any_other():
         assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
 
 
-def test_recurrence_resumes_its_walk_after_the_polynomial_moves_it():
+def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
+    # verify's census reads whole rows at other bases between recurrence calls.
     chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
-    assert bounded_chains_poly(9) == ref_bounded_poly(9)  # walks rows at p = 2^K
-    assert qarith._row[0] != 3
+    assert gaussian_binomial(40, 20, 5) == ref_gaussian_binomial(40, 20, 5)
+    assert qarith._row == (5, [ref_gaussian_binomial(40, k, 5) for k in range(41)])
     assert bounded_chains_recurrence(52, 3) == ref_bounded(52, 3)
     assert qarith._row == (3, [ref_gaussian_binomial(52, k, 3) for k in range(53)])
+
+
+def test_polynomials_leave_the_integer_engine_alone():
+    chains.clear_caches()
+    assert bounded_chains_recurrence(30, 3) == ref_bounded(30, 3)
+    row, memo = qarith._row, (chains._memo[0], list(chains._memo[1]))
+    sizes = gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize
+    assert bounded_chains_poly(20).evaluate(3) == ref_bounded(20, 3)
+    assert qarith._row is row
+    assert chains._memo == memo
+    assert (gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize) == sizes
 
 
 def test_memo_keeps_only_the_most_recent_base():
@@ -163,7 +205,7 @@ def test_memo_keeps_only_the_most_recent_base():
 def test_threads_switching_bases_get_exact_counts():
     # Every job on a new base resets the one-base memo and moves the kept
     # binomial row under the others' feet; the polynomial half of each job
-    # moves the row without holding the memo's lock.
+    # runs the triangle alongside, holding no lock and sharing no state.
     jobs = [(n, p) for n in (25, 40) for p in (2, 3, 10)] * 4
     expected = [(ref_bounded(n, p), ref_bounded(n // 2, p)) for n, p in jobs]
 
