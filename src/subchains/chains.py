@@ -35,7 +35,7 @@ Gaussian binomials between consecutive ones (the empty subset contributes 1).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import qarith
 from .polynomial import ONE, IntPolynomial
@@ -44,8 +44,7 @@ from .qarith import _check_base, gaussian_binomial, q_pascal_step
 CLOSED_FORM_CAP = 24
 
 
-@dataclass(frozen=True)
-class ChainCounts:
+class ChainCounts(NamedTuple):
     """Chain tallies for one group: rooted, unrooted, and all chains."""
 
     rooted: int
@@ -75,7 +74,11 @@ _memo_lock = threading.Lock()
 
 
 def bounded_chains_recurrence(n: int, p: int) -> int:
-    """Number of chains containing both the trivial subgroup and Z_p^n."""
+    """Number of chains containing both the trivial subgroup and Z_p^n.
+
+    The memo keeps one base under one lock, so threads that work on
+    different bases serialize and evict each other's memo.
+    """
     global _memo
     _check_rank(n)
     _check_base(p)

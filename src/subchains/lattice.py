@@ -22,9 +22,9 @@ arithmetic is plain integer remainder mod p, which requires p prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import NamedTuple
 
 from .chains import ChainCounts
 from .qarith import galois_number
@@ -75,8 +75,7 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
         raise ValueError(f"the subspace lattice of F_{p}^{n} has {nodes} nodes, over the budget of {budget}")
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of F_p^n, held as its reduced row-echelon basis.
 
     rows is a tuple of basis rows with entries in [0, p); pivot columns
@@ -163,8 +162,7 @@ def enumerate_subspaces(p: int, n: int, k: int, budget: int = DEFAULT_NODE_BUDGE
     return out
 
 
-@dataclass(frozen=True)
-class SubgroupLattice:
+class SubgroupLattice(NamedTuple):
     """All subspaces of F_p^n plus the strict-containment relation.
 
     nodes are sorted by dimension, then lexicographically by basis rows, so
@@ -253,8 +251,7 @@ def build_lattice(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> Subgroup
     return SubgroupLattice(p, n, tuple(nodes), tuple(below))
 
 
-@dataclass(frozen=True)
-class OracleCounts:
+class OracleCounts(NamedTuple):
     """Ground-truth tallies from one lattice: chain counts plus the subspace census."""
 
     counts: ChainCounts

@@ -98,6 +98,12 @@ def test_counts_satisfy_identities():
 def test_from_rooted():
     assert ChainCounts.from_rooted(1) == ChainCounts(1, 0, 1)
     assert ChainCounts.from_rooted(72) == ChainCounts(72, 71, 143)
+    counts = chain_counts(3, 2)
+    assert repr(counts) == "ChainCounts(rooted=72, unrooted=71, total=143)"
+    rooted, unrooted, total = counts
+    assert counts == (rooted, unrooted, total) == (72, 71, 143)
+    with pytest.raises(AttributeError):
+        counts.rooted = 0
 
 
 def test_degree_law_and_extreme_coefficients():

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import subchains
 from subchains import chains
 from subchains.chains import chain_counts
 from subchains.cli import RECORD_KEYS, build_parser, main
@@ -275,3 +279,17 @@ def test_cli_ignores_the_environment(monkeypatch, capsys):
         monkeypatch.setenv("SUBCHAINS_MAX_N", cap)
         monkeypatch.setenv("SUBCHAINS_ORACLE_BUDGET", budget)
         assert run_cli(argv, capsys)[:2] == (0, plain)
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize: most of the import
+    # time of a request that does almost no work. -S keeps site hooks out.
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    src = Path(subchains.__file__).resolve().parents[1]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import subchains.cli; "
+        "print(*sorted(set(sys.argv[2:]) & sys.modules.keys()))"
+    )
+    argv = [sys.executable, "-I", "-S", "-c", probe, str(src), *heavy]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")

@@ -241,8 +241,15 @@ def test_dump_format():
 
 
 def test_oracle_counts_is_a_plain_record():
-    oracle = count_chains(build_lattice(2, 1))
+    lattice = build_lattice(2, 1)
+    oracle = count_chains(lattice)
     assert oracle == OracleCounts(oracle.counts, (1, 1), 2)
+    line = Subspace(2, 2, ((1, 1),))
+    same = Subspace.from_vectors(2, 2, [[3, 5], [0, 2]])
+    assert line == same and hash(line) == hash(same)
+    for record, field in ((oracle, "total_subgroups"), (lattice, "nodes"), (line, "rows")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def _pairwise_lattice(p, n):
