@@ -29,15 +29,7 @@ DEFAULT_VERIFY_GRID = ((2, 6), (3, 3), (5, 2), (7, 2))
 def _record(p, n: int, counts: chains.ChainCounts, method: str, elapsed_ms: float) -> dict:
     # F/D/C as decimal strings: values are unbounded and must never be
     # truncated or switched to scientific notation.
-    return {
-        "p": p,
-        "n": n,
-        "F": str(counts.rooted),
-        "D": str(counts.unrooted),
-        "C": str(counts.total),
-        "method": method,
-        "elapsed_ms": round(elapsed_ms, 3),
-    }
+    return dict(zip(RECORD_KEYS, (p, n, *map(str, counts), method, round(elapsed_ms, 3))))
 
 
 def _record_text(record: dict) -> str:
@@ -147,57 +139,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"--oracle entry {p}:{n_hi} checks no rank; max_n must be >= 1")
         lattice.check_size(p, n_hi, args.budget)
 
-    passed = 0
-    failed = 0
+    results: list[bool] = []
 
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal passed, failed
-        print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-        if ok:
-            passed += 1
-        else:
-            failed += 1
+    def check(name: str, p: int, n: int, ok: bool, detail: str) -> None:
+        print(f"{'PASS' if ok else 'FAIL'} {name} p={p} n={n} ({detail})")
+        results.append(ok)
+
+    def compare(name: str, p: int, n: int, got, want, shown: str, labels=("lattice", "formula")) -> None:
+        ok = got == want
+        check(name, p, n, ok, shown if ok else f"{labels[0]} {got} != {labels[1]} {want}")
 
     if run_methods:
         for p in primes:
             for n in range(max_n + 1):
                 a = chains.bounded_chains_recurrence(n, p)
                 b = chains.bounded_chains_closed_form(n, p)
-                if a == b:
-                    report("methods-agree", True, f"p={p} n={n} ({2 * a if n else 1} rooted)")
-                else:
-                    report("methods-agree", False, f"p={p} n={n} (recurrence {a} != closed_form {b})")
+                compare("methods-agree", p, n, a, b, f"{2 * a if n else 1} rooted", ("recurrence", "closed_form"))
 
     for p, n_hi in grid:
         for n in range(1, n_hi + 1):
-            lat = lattice.build_lattice(p, n, budget=args.budget)
-            oracle = lattice.count_chains(lat)
-            formula = chains.chain_counts(n, p)
-            ok = oracle.counts.rooted == formula.rooted
-            report(
-                "oracle-rooted",
-                ok,
-                f"p={p} n={n} "
-                + (f"({formula.rooted})" if ok else f"(lattice {oracle.counts.rooted} != formula {formula.rooted})"),
-            )
-            expected = tuple(qarith.gaussian_binomial(n, k, p) for k in range(n + 1))
-            ok = oracle.subgroups_by_dim == expected
-            report(
-                "oracle-subspace-counts",
-                ok,
-                f"p={p} n={n} "
-                + (
-                    f"({','.join(map(str, expected))})"
-                    if ok
-                    else f"(lattice {oracle.subgroups_by_dim} != formula {expected})"
-                ),
-            )
+            oracle = lattice.count_chains(lattice.build_lattice(p, n, budget=args.budget))
+            rooted = chains.chain_counts(n, p).rooted
+            compare("oracle-rooted", p, n, oracle.counts.rooted, rooted, str(rooted))
+            census = tuple(qarith.gaussian_binomial(n, k, p) for k in range(n + 1))
+            compare("oracle-subspace-counts", p, n, oracle.subgroups_by_dim, census, ",".join(map(str, census)))
             c = oracle.counts
             ok = c.rooted == c.unrooted + 1 and c.total == 2 * c.rooted - 1
-            report("oracle-identities", ok, f"p={p} n={n} (F={c.rooted} D={c.unrooted} C={c.total})")
+            check("oracle-identities", p, n, ok, f"F={c.rooted} D={c.unrooted} C={c.total}")
 
-    print(f"{passed}/{passed + failed} checks passed")
-    return 0 if failed == 0 else 1
+    print(f"{sum(results)}/{len(results)} checks passed")
+    return 0 if all(results) else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -5,9 +5,9 @@ symbolic results are carried as IntPolynomial values. Coefficients are plain
 Python ints (unbounded); there is no floating point anywhere. Degrees stay
 small (at most n(n-1)/2 for rank n), so the representation is a dense
 ascending coefficient tuple. Multiplication is schoolbook; the counting
-engine does not multiply polynomials at all, it evaluates its integer
-recurrence at a power of two and splits the value into coefficients with
-from_digits (Kronecker substitution).
+engine does not multiply polynomials at all, it evaluates the product-free
+triangle (chains._triangle) at a power of two and splits the value into
+coefficients with from_digits (Kronecker substitution).
 """
 
 from __future__ import annotations

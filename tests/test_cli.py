@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 
 import subchains
-from subchains import chains
+from subchains import chains, lattice, qarith
 from subchains.chains import chain_counts
 from subchains.cli import RECORD_KEYS, build_parser, main
 from subchains.lattice import DEFAULT_NODE_BUDGET
@@ -171,6 +171,60 @@ def test_verify_detects_a_corrupted_build(monkeypatch, capsys):
     assert "recurrence 36" in bad[0] and "closed_form 37" in bad[0]
     # exit code 0 exactly when every line reports PASS
     assert any(not line.startswith("PASS") for line in out.splitlines())
+
+
+def run_corrupted_oracle_grid(capsys):
+    """verify --oracle 2:3 under a corruption at rank 2: exit code, FAIL lines, tally."""
+    code, out, _ = run_cli(["verify", "--oracle", "2:3"], capsys)
+    *checks, tally = out.splitlines()
+    return code, [line for line in checks if not line.startswith("PASS ")], tally
+
+
+def test_verify_reports_a_wrong_rooted_formula(monkeypatch, capsys):
+    true_counts = chains.chain_counts
+
+    def corrupted(n, p):
+        counts = true_counts(n, p)
+        return chains.ChainCounts.from_rooted(counts.rooted + 1) if n == 2 else counts
+
+    monkeypatch.setattr(chains, "chain_counts", corrupted)
+    assert run_corrupted_oracle_grid(capsys) == (
+        1,
+        ["FAIL oracle-rooted p=2 n=2 (lattice 8 != formula 9)"],
+        "8/9 checks passed",
+    )
+
+
+def test_verify_reports_a_wrong_subspace_census(monkeypatch, capsys):
+    true_binomial = qarith.gaussian_binomial
+
+    def corrupted(n, k, p):
+        value = true_binomial(n, k, p)
+        return value + 1 if (n, k) == (2, 1) else value
+
+    monkeypatch.setattr(qarith, "gaussian_binomial", corrupted)
+    assert run_corrupted_oracle_grid(capsys) == (
+        1,
+        ["FAIL oracle-subspace-counts p=2 n=2 (lattice (1, 3, 1) != formula (1, 4, 1))"],
+        "8/9 checks passed",
+    )
+
+
+def test_verify_reports_broken_chain_identities(monkeypatch, capsys):
+    true_count_chains = lattice.count_chains
+
+    def corrupted(lat):
+        oracle = true_count_chains(lat)
+        if lat.n != 2:
+            return oracle
+        return oracle._replace(counts=oracle.counts._replace(unrooted=oracle.counts.unrooted + 1))
+
+    monkeypatch.setattr(lattice, "count_chains", corrupted)
+    assert run_corrupted_oracle_grid(capsys) == (
+        1,
+        ["FAIL oracle-identities p=2 n=2 (F=8 D=8 C=15)"],
+        "8/9 checks passed",
+    )
 
 
 def test_oracle_text(capsys):
