@@ -35,13 +35,23 @@ Gaussian binomials between consecutive ones (the empty subset contributes 1).
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple
+from math import log2
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
-from .polynomial import ONE, IntPolynomial
 from .qarith import _check_base, gaussian_binomial, q_pascal_step
 
+if TYPE_CHECKING:
+    from .polynomial import IntPolynomial
+
+# Every limit a CLI request is checked against before any work: the rank of
+# the closed form (it enumerates 2^(n-1) subsets), the default node budget of
+# the lattice oracle (lattice.check_size), and the predicted bits of a count
+# (count, table) or of a polynomial (poly); see the check_* functions below.
 CLOSED_FORM_CAP = 24
+DEFAULT_NODE_BUDGET = 100_000
+COUNT_BITS_CAP = 100_000
+POLY_BITS_CAP = 1 << 24
 
 
 class ChainCounts(NamedTuple):
@@ -97,6 +107,32 @@ def check_closed_form_rank(n: int) -> None:
         raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
 
 
+def check_count_bits(n: int, p: int) -> None:
+    """Refuse a rank whose b_n, about n(n-1)/2 * log2(p) bits, is over COUNT_BITS_CAP.
+
+    The recurrence does O(n^2) products of numbers that size, so this bounds
+    its work; the worst admitted request is at p = 2, the most ranks per bit.
+    """
+    _check_rank(n)
+    _check_base(p)
+    pairs = n * (n - 1) // 2
+    if pairs > COUNT_BITS_CAP or pairs * log2(p) > COUNT_BITS_CAP:
+        raise ValueError(f"n={n} at p={p} exceeds the output cap: b_n would have over {COUNT_BITS_CAP} bits")
+
+
+def check_poly_bits(n: int) -> None:
+    """Refuse a rank whose polynomial is over POLY_BITS_CAP bits by the bound n(n-1)/2 * n*log2(n).
+
+    Its n(n-1)/2 + 1 coefficients sum to b_n(1) <= n^n (an ordered set
+    partition is a map into {1..n}), so the bound also covers the integer the
+    triangle builds at p = 2^(8 * width).
+    """
+    _check_rank(n)
+    pairs = n * (n - 1) // 2
+    if pairs > POLY_BITS_CAP or pairs * n * log2(max(n, 1)) > POLY_BITS_CAP:
+        raise ValueError(f"n={n} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits")
+
+
 def bounded_chains_closed_form(n: int, p: int) -> int:
     """Same count as bounded_chains_recurrence, by direct subset enumeration.
 
@@ -149,6 +185,8 @@ def bounded_chains_poly(n: int) -> IntPolynomial:
     Both values come from the product-free triangle, not the binomial sum:
     at p = 1 it gives the digit bound b_n(1), at p = 2^(8 * width) the digits.
     """
+    from .polynomial import IntPolynomial
+
     _check_rank(n)
     width = -(-_triangle(n, 0).bit_length() // 8)  # bytes per coefficient
     return IntPolynomial.from_digits(_triangle(n, 8 * width), width)
@@ -160,6 +198,8 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
     For n >= 1 this has degree n(n-1)/2, leading coefficient 2, and constant
     term 2^n; the n = 0 count is the constant 1.
     """
+    from .polynomial import ONE
+
     _check_rank(n)
     if n == 0:
         return ONE

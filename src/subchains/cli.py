@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import sys
 from time import perf_counter
 
-from . import chains, lattice, qarith
-from .chains import CLOSED_FORM_CAP
-from .lattice import DEFAULT_NODE_BUDGET
+from . import chains, qarith
+from .chains import CLOSED_FORM_CAP, COUNT_BITS_CAP, DEFAULT_NODE_BUDGET, POLY_BITS_CAP
 
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
 FORMATS = ("text", "json", "csv")
@@ -36,11 +33,18 @@ def _record_text(record: dict) -> str:
     return " ".join(f"{key}={record[key]}" for key in record)
 
 
+# json, csv and lattice are imported inside the functions that use them (and
+# polynomial inside chains and qarith), so a request loads only the modules
+# its subcommand and format run.
 def _json_line(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
 def _csv_writer():
+    import csv
+
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
@@ -65,11 +69,13 @@ def _counts_record(p: int, n: int) -> dict:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    chains.check_count_bits(args.n, args.p)
     _print_records([_counts_record(args.p, args.n)], args.format)
     return 0
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
+    chains.check_poly_bits(args.n)
     poly = chains.rooted_chains_poly(args.n)
     if args.format == "text":
         print(poly.to_text("p"))
@@ -83,6 +89,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
+    chains.check_count_bits(args.max_n, args.p)
     _print_records([_counts_record(args.p, n) for n in range(args.max_n + 1)], args.format)
     return 0
 
@@ -116,6 +123,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import lattice
+
     default_run = args.p is None and args.max_n is None and args.oracle is None
     run_methods = default_run or args.p is not None or args.max_n is not None
     primes = _parse_int_list(args.p, "--p") if args.p is not None else list(DEFAULT_VERIFY_PRIMES)
@@ -172,6 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import lattice
+
     # Validate the request and open the dump file before the lattice is built,
     # so a bad path costs nothing and leaves no half-done work.
     lattice.check_size(args.p, args.n, args.budget)
@@ -215,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Limits: verify refuses closed-form ranks above {CLOSED_FORM_CAP}; verify and oracle "
-            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}). "
+            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count and "
+            f"table refuse counts of more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) at the top rank), "
+            f"poly polynomials of more than {POLY_BITS_CAP} bits (n(n-1)/2*n*log2(n)). "
             "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error."
         ),
     )

@@ -26,10 +26,8 @@ from collections.abc import Iterable, Iterator
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .chains import ChainCounts
+from .chains import DEFAULT_NODE_BUDGET, ChainCounts
 from .qarith import galois_number
-
-DEFAULT_NODE_BUDGET = 100_000
 
 
 def is_prime(m: int) -> bool:

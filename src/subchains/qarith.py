@@ -19,8 +19,10 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul
+from typing import TYPE_CHECKING
 
-from .polynomial import ONE, IntPolynomial
+if TYPE_CHECKING:
+    from .polynomial import IntPolynomial
 
 
 def _check_base(p: int) -> None:
@@ -97,6 +99,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 def q_factorial_poly(r: int) -> IntPolynomial:
     """q_factorial with the base left symbolic: the product of (X^s - 1) for s = 1..r."""
+    from .polynomial import ONE, IntPolynomial
+
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     out = ONE
@@ -108,6 +112,8 @@ def q_factorial_poly(r: int) -> IntPolynomial:
 @lru_cache(maxsize=256)
 def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
     """The q-binomial [n choose k] as a polynomial in the base; its coefficients sum to comb(n, k)."""
+    from .polynomial import IntPolynomial
+
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     k = min(k, n - k)

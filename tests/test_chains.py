@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
@@ -6,6 +7,8 @@ import pytest
 from subchains import chains, qarith
 from subchains.chains import (
     CLOSED_FORM_CAP,
+    COUNT_BITS_CAP,
+    POLY_BITS_CAP,
     ChainCounts,
     bounded_chains_closed_form,
     bounded_chains_poly,
@@ -67,6 +70,26 @@ def test_closed_form_cap():
     with pytest.raises(ValueError, match=f"cap of {CLOSED_FORM_CAP}"):
         bounded_chains_closed_form(CLOSED_FORM_CAP + 1, 2)
     assert perf_counter() - start < 0.1
+
+
+def test_output_caps():
+    # The last admitted ranks, from the cheap bounds in bits; a rank too large
+    # for a float is refused, not overflowed.
+    for p, n in ((2, 447), (3, 355), (1000003, 100)):
+        chains.check_count_bits(n, p)
+        assert n * (n - 1) / 2 * math.log2(p) <= COUNT_BITS_CAP
+        with pytest.raises(ValueError, match=f"p={p} exceeds the output cap"):
+            chains.check_count_bits(n + 1, p)
+    chains.check_poly_bits(166)
+    with pytest.raises(ValueError, match=f"over {POLY_BITS_CAP} bits"):
+        chains.check_poly_bits(167)
+    for check in (lambda n: chains.check_count_bits(n, 2), chains.check_poly_bits):
+        with pytest.raises(ValueError, match="cap"):
+            check(10**400)
+    chains.check_count_bits(0, 10**400)
+    chains.check_poly_bits(0)
+    with pytest.raises(ValueError, match=">= 2"):
+        chains.check_count_bits(0, 1)
 
 
 def test_bounded_poly_examples():

@@ -72,6 +72,10 @@ def test_count_csv(capsys):
         (["verify", "--p", "", "--max-n", "1"], "--p expects"),
         (["oracle", "--p", "2", "--n", "2", "--budget", "-5"], "budget must be >= 0, got -5"),
         (["verify", "--oracle", "2:2", "--budget", "-1"], "budget must be >= 0, got -1"),
+        (["count", "--p", "2", "--n", "448"], "n=448 at p=2 exceeds the output cap"),
+        (["table", "--p", "2", "--max-n", "100000"], "n=100000 at p=2 exceeds the output cap"),
+        (["poly", "--n", "167"], "n=167 exceeds the poly output cap"),
+        (["count", "--p", "1", "--n", "0"], ">= 2"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
@@ -335,15 +339,34 @@ def test_cli_ignores_the_environment(monkeypatch, capsys):
         assert run_cli(argv, capsys)[:2] == (0, plain)
 
 
+# Which of the lazily imported modules each request loads: (argv, loaded);
+# argv None imports subchains.cli alone.
+START_UP_LOADS = [
+    (None, set()),
+    (["count", "--p", "2", "--n", "0"], set()),  # the benchmark's setup probe
+    (["count", "--p", "2", "--n", "3", "--format", "json"], {"json"}),
+    (["table", "--p", "2", "--max-n", "4", "--format", "csv"], {"csv"}),
+    (["poly", "--n", "4"], {"subchains.polynomial"}),
+    (["poly", "--n", "4", "--format", "json"], {"subchains.polynomial", "json"}),
+    (["oracle", "--p", "2", "--n", "3", "--format", "json"], {"subchains.lattice", "json"}),
+    (["verify", "--p", "2", "--max-n", "3", "--oracle", "2:2"], {"subchains.lattice"}),
+]
+
+
 def test_cli_start_up_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize: most of the import
-    # time of a request that does almost no work. -S keeps site hooks out.
+    # time of a request that does almost no work. The lattice, polynomial,
+    # json and csv modules load only for the requests that use them. Each
+    # request runs in a fresh interpreter; -S keeps site hooks out.
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    lazy = ["subchains.lattice", "subchains.polynomial", "json", "csv"]
     src = Path(subchains.__file__).resolve().parents[1]
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import subchains.cli; "
-        "print(*sorted(set(sys.argv[2:]) & sys.modules.keys()))"
-    )
-    argv = [sys.executable, "-I", "-S", "-c", probe, str(src), *heavy]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+    for argv, loaded in START_UP_LOADS:
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import subchains.cli; "
+            f"code = subchains.cli.main({argv!r}) if {argv!r} else 0; "
+            "print(*sorted(set(sys.argv[2:]) & sys.modules.keys()), file=sys.stderr); sys.exit(code)"
+        )
+        command = [sys.executable, "-I", "-S", "-c", probe, str(src), *heavy, *lazy]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+        assert (argv, done.returncode, done.stderr.split()) == (argv, 0, sorted(loaded))
