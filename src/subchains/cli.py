@@ -2,13 +2,15 @@
 
 Results go to stdout, diagnostics and errors to stderr. Exit codes: 0 on
 success, 1 when a verification run finds a mismatch, 2 on bad flags or
-domain errors (the message names the violated bound).
+domain errors (the message names the violated bound), 141 when the reader
+closes stdout early (the status a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from time import perf_counter
 
@@ -18,19 +20,15 @@ from .chains import CLOSED_FORM_CAP, COUNT_BITS_CAP, DEFAULT_NODE_BUDGET, POLY_B
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
 FORMATS = ("text", "json", "csv")
 
-DEFAULT_VERIFY_PRIMES = (2, 3, 5, 7)
+DEFAULT_VERIFY_PRIMES = "2,3,5,7"
 DEFAULT_VERIFY_MAX_N = 10
-DEFAULT_VERIFY_GRID = ((2, 6), (3, 3), (5, 2), (7, 2))
+DEFAULT_VERIFY_GRID = "2:6,3:3,5:2,7:2"
 
 
 def _record(p, n: int, counts: chains.ChainCounts, method: str, elapsed_ms: float) -> dict:
     # F/D/C as decimal strings: values are unbounded and must never be
     # truncated or switched to scientific notation.
     return dict(zip(RECORD_KEYS, (p, n, *map(str, counts), method, round(elapsed_ms, 3))))
-
-
-def _record_text(record: dict) -> str:
-    return " ".join(f"{key}={record[key]}" for key in record)
 
 
 # json, csv and lattice are imported inside the functions that use them (and
@@ -49,17 +47,18 @@ def _csv_writer():
 
 
 def _print_records(records: list[dict], fmt: str) -> None:
+    """Write records with whatever keys they carry; csv takes its header from the first."""
     if fmt == "text":
         for record in records:
-            print(_record_text(record))
+            print(" ".join(f"{key}={value}" for key, value in record.items()))
     elif fmt == "json":
         for record in records:
             print(_json_line(record))
     else:
         writer = _csv_writer()
-        writer.writerow(RECORD_KEYS)
+        writer.writerow(records[0].keys())
         for record in records:
-            writer.writerow([record[key] for key in RECORD_KEYS])
+            writer.writerow([";".join(value) if isinstance(value, list) else value for value in record.values()])
 
 
 def _counts_record(p: int, n: int) -> dict:
@@ -94,52 +93,37 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} expects at least one integer, got {text!r}")
-    return values
-
-
-def _parse_grid(text: str) -> list[tuple[int, int]]:
-    grid = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        head, sep, tail = token.partition(":")
-        if not sep:
-            raise ValueError(f"bad --oracle entry {token!r}; expected p:max_n")
+def _parse_entries(flag: str, text: str, form: str) -> list[tuple[int, ...]]:
+    """Comma-separated entries of colon-separated integers shaped like `form` ("p", "p:max_n")."""
+    entries = []
+    for token in filter(None, map(str.strip, text.split(","))):
         try:
-            grid.append((int(head), int(tail)))
+            entry = tuple(map(int, token.split(":")))
         except ValueError:
-            raise ValueError(f"bad --oracle entry {token!r}; expected p:max_n") from None
-    if not grid:
-        raise ValueError(f"--oracle expects entries like 2:4,3:3, got {text!r}")
-    return grid
+            entry = ()
+        if len(entry) != form.count(":") + 1:
+            raise ValueError(f"{flag} expects comma-separated entries of the form {form}, got {token!r}")
+        entries.append(entry)
+    if not entries:
+        raise ValueError(f"{flag} expects comma-separated entries of the form {form}, got {text!r}")
+    return entries
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import lattice
 
+    # With no flags both parts run on their defaults; otherwise --p or --max-n
+    # runs the methods check (the other flag defaulted) and --oracle the grid.
     default_run = args.p is None and args.max_n is None and args.oracle is None
     run_methods = default_run or args.p is not None or args.max_n is not None
-    primes = _parse_int_list(args.p, "--p") if args.p is not None else list(DEFAULT_VERIFY_PRIMES)
-    max_n = args.max_n if args.max_n is not None else DEFAULT_VERIFY_MAX_N
-    if args.oracle is not None:
-        grid = _parse_grid(args.oracle)
-    elif default_run:
-        grid = list(DEFAULT_VERIFY_GRID)
-    else:
-        grid = []
+    primes = [p for (p,) in _parse_entries("--p", DEFAULT_VERIFY_PRIMES if args.p is None else args.p, "p")]
+    max_n = DEFAULT_VERIFY_MAX_N if args.max_n is None else args.max_n
+    grid_text = DEFAULT_VERIFY_GRID if default_run else args.oracle
+    grid = [] if grid_text is None else _parse_entries("--oracle", grid_text, "p:max_n")
 
     # Refuse bad or over-limit requests before the first check runs or prints.
     if run_methods:
-        if min(primes) < 2:
-            raise ValueError(f"base p must be >= 2, got {min(primes)}")
+        qarith._check_base(min(primes))
         if max_n < 0:
             raise ValueError(f"--max-n must be >= 0, got {max_n}")
         chains.check_closed_form_rank(max_n)
@@ -187,7 +171,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # so a bad path costs nothing and leaves no half-done work.
     lattice.check_size(args.p, args.n, args.budget)
     try:
-        dump = open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext()
+        dump = open(args.dump, "w", encoding="utf-8") if args.dump is not None else contextlib.nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write the lattice dump: {exc}") from None
     with dump:
@@ -195,24 +179,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
         oracle = lattice.count_chains(lat)
         elapsed_ms = (perf_counter() - start) * 1000.0
-        if args.dump:
+        if args.dump is not None:
             dump.writelines(line + "\n" for line in lat.dump_lines())
-    if args.dump:
+    if args.dump is not None:
         print(f"lattice dump written to {args.dump}", file=sys.stderr)
     record = _record(args.p, args.n, oracle.counts, "oracle", elapsed_ms)
     dims = [str(c) for c in oracle.subgroups_by_dim]
     if args.format == "text":
         print(f"subgroups_by_dim: {','.join(dims)}")
         print(f"total_subgroups: {oracle.total_subgroups}")
-        print(_record_text(record))
-    elif args.format == "json":
-        record["subgroups_by_dim"] = dims
-        record["total_subgroups"] = str(oracle.total_subgroups)
-        print(_json_line(record))
     else:
-        writer = _csv_writer()
-        writer.writerow(RECORD_KEYS + ("subgroups_by_dim", "total_subgroups"))
-        writer.writerow([record[key] for key in RECORD_KEYS] + [";".join(dims), oracle.total_subgroups])
+        record.update(subgroups_by_dim=dims, total_subgroups=str(oracle.total_subgroups))
+    _print_records([record], args.format)
     return 0
 
 
@@ -229,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count and "
             f"table refuse counts of more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) at the top rank), "
             f"poly polynomials of more than {POLY_BITS_CAP} bits (n(n-1)/2*n*log2(n)). "
-            "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error."
+            "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error, 141 stdout closed early."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,10 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs recurrence/closed-form equality for every base listed and every rank up to "
             "--max-n, and compares the formulas against brute-force lattice counts on the "
-            "--oracle grid. With no flags, runs both with defaults: --p "
-            + ",".join(str(p) for p in DEFAULT_VERIFY_PRIMES)
-            + f" --max-n {DEFAULT_VERIFY_MAX_N} --oracle "
-            + ",".join(f"{p}:{n}" for p, n in DEFAULT_VERIFY_GRID)
+            "--oracle grid. With no flags, runs both with defaults: "
+            f"--p {DEFAULT_VERIFY_PRIMES} --max-n {DEFAULT_VERIFY_MAX_N} --oracle {DEFAULT_VERIFY_GRID}"
         ),
     )
     verify.add_argument("--p", help="comma-separated bases for the method-equivalence check")
@@ -300,10 +276,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the interpreter's
+        # exit flush of what is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +78,7 @@ def test_count_csv(capsys):
         (["table", "--p", "2", "--max-n", "100000"], "n=100000 at p=2 exceeds the output cap"),
         (["poly", "--n", "167"], "n=167 exceeds the poly output cap"),
         (["count", "--p", "1", "--n", "0"], ">= 2"),
+        (["oracle", "--p", "2", "--n", "2", "--dump", ""], "cannot write the lattice dump"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
@@ -246,6 +249,44 @@ def test_oracle_rank_one(capsys):
     assert record["subgroups_by_dim"] == ["1", "1"]
     assert (record["F"], record["D"], record["C"]) == ("2", "1", "3")
     assert record["method"] == "oracle"
+
+
+# oracle stdout in each format, elapsed_ms masked: the extra fields trail the shared record.
+ORACLE_LAYOUT = {
+    ("0", "text"): "subgroups_by_dim: 1\ntotal_subgroups: 1\np=2 n=0 F=1 D=0 C=1 method=oracle elapsed_ms=<ms>\n",
+    ("0", "json"): '{"p":2,"n":0,"F":"1","D":"0","C":"1","method":"oracle","elapsed_ms":<ms>,'
+    '"subgroups_by_dim":["1"],"total_subgroups":"1"}\n',
+    ("0", "csv"): "p,n,F,D,C,method,elapsed_ms,subgroups_by_dim,total_subgroups\n2,0,1,0,1,oracle,<ms>,1,1\n",
+    ("3", "text"): "subgroups_by_dim: 1,7,7,1\ntotal_subgroups: 16\n"
+    "p=2 n=3 F=72 D=71 C=143 method=oracle elapsed_ms=<ms>\n",
+    ("3", "json"): '{"p":2,"n":3,"F":"72","D":"71","C":"143","method":"oracle","elapsed_ms":<ms>,'
+    '"subgroups_by_dim":["1","7","7","1"],"total_subgroups":"16"}\n',
+    ("3", "csv"): "p,n,F,D,C,method,elapsed_ms,subgroups_by_dim,total_subgroups\n"
+    "2,3,72,71,143,oracle,<ms>,1;7;7;1,16\n",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(ORACLE_LAYOUT))
+def test_oracle_output_layout(n, fmt, capsys):
+    code, out, err = run_cli(["oracle", "--p", "2", "--n", n, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    masked = re.sub(r'(elapsed_ms[=":]+|,oracle,)[0-9.]+', r"\1<ms>", out)
+    assert masked == ORACLE_LAYOUT[n, fmt]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # table prints 1.24 MB here, far past a pipe buffer, so the writes after
+    # the reader leaves fail inside the command rather than at exit.
+    src = str(Path(subchains.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "subchains", "table", "--p", "2", "--max-n", "200"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"p=2 n=0 F=1 ")
+    assert (code, err) == (141, b"")
 
 
 def test_oracle_dump(tmp_path, capsys):
