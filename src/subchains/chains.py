@@ -30,12 +30,18 @@ triangle at p = 1), so its value at p = 2^K > b_n(1) holds them as digits.
 Unrolling b_n gives a cross-check: a sum over the subsets of {1, ..., n-1},
 each a chain of intermediate dimensions that contributes the product of the
 Gaussian binomials between consecutive ones (the empty subset contributes 1).
+It walks the high dimensions depth first and expands the low ones breadth
+first, one list of terms per lowest dimension, which holds at most 2^12
+terms at once. Every term stays its own product: summing tails under a
+common head would be the recurrence again, not a check of it.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from math import log2
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
@@ -52,6 +58,10 @@ CLOSED_FORM_CAP = 24
 DEFAULT_NODE_BUDGET = 100_000
 COUNT_BITS_CAP = 100_000
 POLY_BITS_CAP = 1 << 24
+
+# The closed form expands chains breadth first once their lowest dimension is
+# at most this plus one (measured fastest at 12; see bounded_chains_closed_form).
+_BREADTH_FIRST_BOUND = 12
 
 
 class ChainCounts(NamedTuple):
@@ -108,10 +118,14 @@ def check_closed_form_rank(n: int) -> None:
 
 
 def check_count_bits(n: int, p: int) -> None:
-    """Refuse a rank whose b_n, about n(n-1)/2 * log2(p) bits, is over COUNT_BITS_CAP.
+    """Refuse a rank whose predicted n(n-1)/2 * log2(p) bits are over COUNT_BITS_CAP.
 
-    The recurrence does O(n^2) products of numbers that size, so this bounds
-    its work; the worst admitted request is at p = 2, the most ranks per bit.
+    The cap is on that prediction, not on b_n itself: b_n <= p^(n(n-1)/2) * b_n(1)
+    because its polynomial has non-negative coefficients, and b_n(1) <= n^n,
+    so b_n can have up to n*log2(n) + 1 bits more (the admitted b_447 at p = 2
+    has 100,290). The recurrence does O(n^2) products of numbers that size,
+    so this bounds its work; the worst admitted request is at p = 2, the most
+    ranks per bit.
     """
     _check_rank(n)
     _check_base(p)
@@ -136,12 +150,18 @@ def check_poly_bits(n: int) -> None:
 def bounded_chains_closed_form(n: int, p: int) -> int:
     """Same count as bounded_chains_recurrence, by direct subset enumeration.
 
-    Sums over all 2^(n-1) subsets of {1, ..., n-1}, depth first. A subset read
-    in descending order is a chain of dimensions below n; it contributes the
+    Sums over all 2^(n-1) subsets of {1, ..., n-1}. A subset read in
+    descending order is a chain of dimensions below n; it contributes the
     product of the Gaussian binomials [upper lower] along that chain, read
     from rows 0..n built once, and each term extends its parent's by one
-    factor. Exponential in n, so ranks above the cap are refused (see
-    check_closed_form_rank).
+    factor. Chains are walked depth first while their lowest dimension is
+    above _BREADTH_FIRST_BOUND + 1; below that, all extensions of a chain are
+    formed breadth first, a list of terms per lowest dimension, so the
+    interpreter pays per list rather than per term and at most
+    2^_BREADTH_FIRST_BOUND terms are held at once. Every term is still its
+    own product: factoring a common head out of a sum of tails would be the
+    recurrence, the engine this function checks. Exponential in n, so ranks
+    above the cap are refused (see check_closed_form_rank).
     """
     _check_rank(n)
     _check_base(p)
@@ -154,8 +174,16 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
     while stack:
         top, term = stack.pop()
         total += term
-        for lower in range(1, top):
-            stack.append((lower, term * rows[top][lower]))
+        if top > _BREADTH_FIRST_BOUND + 1:
+            stack.extend((lower, term * rows[top][lower]) for lower in range(1, top))
+            continue
+        groups = {top: [term]}  # lowest dimension d -> terms of the chains below top that end at d
+        for lower in range(top - 1, 0, -1):
+            terms = []
+            for d in range(lower + 1, top + 1):
+                terms += map(mul, groups[d], repeat(rows[d][lower]))
+            total += sum(terms)
+            groups[lower] = terms
     return total
 
 

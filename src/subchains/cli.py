@@ -13,9 +13,13 @@ import contextlib
 import os
 import sys
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from . import chains, qarith
 from .chains import CLOSED_FORM_CAP, COUNT_BITS_CAP, DEFAULT_NODE_BUDGET, POLY_BITS_CAP
+
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
 FORMATS = ("text", "json", "csv")
@@ -46,8 +50,8 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _print_records(records: list[dict], fmt: str) -> None:
-    """Write records with whatever keys they carry; csv takes its header from the first."""
+def _print_records(records: Iterable[dict], fmt: str) -> None:
+    """Write records as they arrive, with whatever keys they carry; csv takes its header from the first."""
     if fmt == "text":
         for record in records:
             print(" ".join(f"{key}={value}" for key, value in record.items()))
@@ -56,8 +60,9 @@ def _print_records(records: list[dict], fmt: str) -> None:
             print(_json_line(record))
     else:
         writer = _csv_writer()
-        writer.writerow(records[0].keys())
-        for record in records:
+        for i, record in enumerate(records):
+            if i == 0:
+                writer.writerow(record.keys())
             writer.writerow([";".join(value) if isinstance(value, list) else value for value in record.values()])
 
 
@@ -89,7 +94,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     chains.check_count_bits(args.max_n, args.p)
-    _print_records([_counts_record(args.p, n) for n in range(args.max_n + 1)], args.format)
+    # A generator, so each record is printed before the next rank is computed.
+    _print_records((_counts_record(args.p, n) for n in range(args.max_n + 1)), args.format)
     return 0
 
 
@@ -205,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             f"Limits: verify refuses closed-form ranks above {CLOSED_FORM_CAP}; verify and oracle "
             f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count and "
-            f"table refuse counts of more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) at the top rank), "
+            f"table refuse counts predicted at more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) at the top rank; "
+            "the count itself can have up to n*log2(n)+1 bits more), "
             f"poly polynomials of more than {POLY_BITS_CAP} bits (n(n-1)/2*n*log2(n)). "
             "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error, 141 stdout closed early."
         ),

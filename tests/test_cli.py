@@ -136,6 +136,31 @@ def test_table_rank_one_is_base_independent(capsys):
     assert [r["F"] for r in records] == ["1", "2"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_prints_each_record_before_computing_the_next(fmt, monkeypatch, capsys):
+    true_counts = chains.chain_counts
+    ranks = []
+
+    def first_rank_only(n, p):
+        ranks.append(n)
+        if len(ranks) > 1:
+            raise RuntimeError(f"rank {n} was asked for")
+        return true_counts(n, p)
+
+    monkeypatch.setattr(chains, "chain_counts", first_rank_only)
+    with pytest.raises(RuntimeError, match="rank 1 was asked for"):
+        main(["table", "--p", "2", "--max-n", "3", "--format", fmt])
+    lines = capsys.readouterr().out.splitlines()
+    if fmt == "text":
+        assert len(lines) == 1 and lines[0].startswith("p=2 n=0 F=1 D=0 C=1 method=recurrence ")
+    elif fmt == "json":
+        assert len(lines) == 1 and json.loads(lines[0])["F"] == "1"
+    else:
+        rows = list(csv.reader(lines))
+        assert rows[0] == list(RECORD_KEYS) and rows[1][:6] == ["2", "0", "1", "0", "1", "recurrence"]
+        assert len(rows) == 2
+
+
 def test_verify_methods_and_oracle(capsys):
     code, out, _ = run_cli(["verify", "--p", "2,3,5,7", "--max-n", "10", "--oracle", "2:4,3:3"], capsys)
     assert code == 0

@@ -7,14 +7,15 @@ ratio of neighbouring entries, so independent of the q-Pascal step), the bounded
 count as a memoized sum over those binomials, and the bounded polynomial as a
 sum of schoolbook IntPolynomial products over Pascal-built q-binomials. The
 triangle behind the polynomials is also checked against the integer
-recurrence, the engine the polynomials used before it.
+recurrence, the engine the polynomials used before it, and the closed form
+against its earlier depth-first enumeration, kept verbatim.
 """
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subchains import chains, qarith
 from subchains.chains import (
@@ -76,6 +77,21 @@ def ref_bounded_poly(n):
     return total
 
 
+def ref_closed_form(n, p):
+    # The closed form as it was: every subset of {1, ..., n-1} depth first.
+    rows = [[1]]
+    for _ in range(n):
+        rows.append(qarith.q_pascal_step(rows[-1], p, n))
+    total = 0
+    stack = [(n, 1)]  # (lowest dimension of the subset's chain, its term)
+    while stack:
+        top, term = stack.pop()
+        total += term
+        for lower in range(1, top):
+            stack.append((lower, term * rows[top][lower]))
+    return total
+
+
 @st.composite
 def rank_pair(draw, max_n):
     n = draw(st.integers(0, max_n))
@@ -105,6 +121,29 @@ def test_recurrence_matches_memoized_binomial_sums(n, p):
 @given(st.integers(0, 9), BASES)
 def test_closed_form_matches_memoized_binomial_sums(n, p):
     assert bounded_chains_closed_form(n, p) == ref_bounded(n, p)
+
+
+@st.composite
+def closed_form_point(draw):
+    # Ranks below, at and above the breadth-first switch; the widest base only
+    # where the depth-first reference stays fast.
+    n = draw(st.integers(0, 16))
+    wide = [10**18 + 9] if n <= 12 else []
+    return n, draw(st.one_of(st.integers(2, 40), st.sampled_from([4, 6, 9, 10, 12, 1000003, *wide])))
+
+
+BOUND = chains._BREADTH_FIRST_BOUND
+
+
+@settings(deadline=None, max_examples=40)
+@given(closed_form_point())
+@example((BOUND, 10**18 + 9))
+@example((BOUND + 1, 2))
+@example((BOUND + 2, 6))
+@example((16, 13))
+def test_closed_form_matches_depth_first_enumeration(point):
+    n, p = point
+    assert bounded_chains_closed_form(n, p) == ref_closed_form(n, p)
 
 
 @settings(deadline=None)
