@@ -128,6 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = [] if grid_text is None else _parse_entries("--oracle", grid_text, "p:max_n")
 
     # Refuse bad or over-limit requests before the first check runs or prints.
+    lattice.check_budget(args.budget)
     if run_methods:
         qarith._check_base(min(primes))
         if max_n < 0:

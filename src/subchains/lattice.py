@@ -49,6 +49,12 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def check_budget(budget: int) -> None:
+    """Refuse a negative node budget."""
+    if budget < 0:
+        raise ValueError(f"the node budget must be >= 0, got {budget}")
+
+
 def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
     """Refuse a negative budget, then a lattice of negative rank, over the budget, or over a non-prime base.
 
@@ -59,8 +65,7 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
     test then costs at most sqrt(budget) divisions, and the exact size,
     computed last, a rank of at most budget.bit_length().
     """
-    if budget < 0:
-        raise ValueError(f"the node budget must be >= 0, got {budget}")
+    check_budget(budget)
     if n < 0:
         raise ValueError(f"rank n must be >= 0, got {n}")
     if n > budget.bit_length():

@@ -79,6 +79,7 @@ def test_count_csv(capsys):
         (["poly", "--n", "167"], "n=167 exceeds the poly output cap"),
         (["count", "--p", "1", "--n", "0"], ">= 2"),
         (["oracle", "--p", "2", "--n", "2", "--dump", ""], "cannot write the lattice dump"),
+        (["verify", "--p", "2", "--max-n", "3", "--budget", "-1"], "the node budget must be >= 0, got -1"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):

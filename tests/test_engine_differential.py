@@ -8,7 +8,10 @@ count as a memoized sum over those binomials, and the bounded polynomial as a
 sum of schoolbook IntPolynomial products over Pascal-built q-binomials. The
 triangle behind the polynomials is also checked against the integer
 recurrence, the engine the polynomials used before it, and the closed form
-against its earlier depth-first enumeration, kept verbatim.
+against its earlier depth-first enumeration, kept verbatim. The recurrence,
+which pairs the symmetric columns of each row, is checked against the plain
+sum over every column, and up to rank 120 against two congruences that need
+no second engine.
 """
 
 import sys
@@ -113,8 +116,49 @@ def test_galois_number_matches_sum_of_ratios(n, p):
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 60), BASES)
+@example(0, 2)
+@example(1, 3)  # no pair: b_1 = [1 0] b_0
+@example(2, 2)  # the middle term alone
+@example(3, 5)
+@example(4, 10**18 + 9)  # a pair and the middle term
+@example(200, 2)  # count-deep's deepest points
+@example(126, 7)
+@example(57, 1000003)
 def test_recurrence_matches_memoized_binomial_sums(n, p):
+    chains.clear_caches()  # walk every rank up to n, pairing columns k and m-k
     assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
+
+
+def admitted_rank(p, limit):
+    """The largest rank up to limit whose count the count command admits at base p."""
+    for n in range(limit, 0, -1):
+        try:
+            chains.check_count_bits(n, p)
+        except ValueError:
+            continue
+        return n
+
+
+@st.composite
+def deep_point(draw):
+    # Ranks up to 120, past the closed form's cap, where count admits them
+    # (n <= 58 at 10^18 + 9: the rank-120 count there takes 20 s).
+    p = draw(st.one_of(BASES, st.integers(2, 10**18 + 9)))
+    return draw(st.integers(1, admitted_rank(p, 120))), p
+
+
+@settings(deadline=None, max_examples=20)
+@given(deep_point())
+@example((120, 2))
+@example((120, 3))
+@example((admitted_rank(10**18 + 9, 120), 10**18 + 9))
+def test_recurrence_satisfies_its_congruences(point):
+    # [m k]_p = 1 mod p, so b_n = b_0 + ... + b_{n-1} = 2^(n-1) mod p; and
+    # p = 1 mod p-1, so b_n(p) = b_n(1), the triangle at p = 1, mod p-1.
+    n, p = point
+    b = bounded_chains_recurrence(n, p)
+    assert b % p == pow(2, n - 1, p)
+    assert b % (p - 1) == chains._triangle(n, 0) % (p - 1)
 
 
 @settings(deadline=None, max_examples=30)
