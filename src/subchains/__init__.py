@@ -12,7 +12,7 @@ first read of a public name imports its home module (listed in _HOMES) and
 keeps the value here. So a caller pays only for the modules it touches.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Every public name and the submodule that defines it.
 _HOMES = {
@@ -33,8 +33,6 @@ _HOMES = {
     "galois_number": "qarith",
     "gaussian_binomial": "qarith",
     "gaussian_binomial_poly": "qarith",
-    "q_factorial": "qarith",
-    "q_factorial_poly": "qarith",
 }
 
 __all__ = sorted(_HOMES)

@@ -201,6 +201,7 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
 
 def chain_counts(n: int, p: int) -> ChainCounts:
     """All three chain tallies for Z_p^n, from the recurrence."""
+    _check_base(p)  # also at rank 0, which the recurrence never reaches
     rooted = 1 if n == 0 else 2 * bounded_chains_recurrence(n, p)
     return ChainCounts.from_rooted(rooted)
 

@@ -4,10 +4,11 @@ Every count in this package is a polynomial in the group's base p, so the
 symbolic results are carried as IntPolynomial values. Coefficients are plain
 Python ints (unbounded); there is no floating point anywhere. Degrees stay
 small (at most n(n-1)/2 for rank n), so the representation is a dense
-ascending coefficient tuple. Multiplication is schoolbook; the counting
-engine does not multiply polynomials at all, it evaluates the product-free
-triangle (chains._triangle) at a power of two and splits the value into
-coefficients with from_digits (Kronecker substitution).
+ascending coefficient tuple. The one arithmetic operation is the product by
+an integer (the rooted count is twice the bounded one): the counting engine
+multiplies no polynomials, it evaluates the product-free triangle
+(chains._triangle) at a power of two and splits the value into coefficients
+with from_digits (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ class IntPolynomial:
     The representation is canonical: trailing zero coefficients are stripped
     and the zero polynomial is the empty tuple. Equality and hashing are
     structural, so two IntPolynomial values compare equal exactly when they
-    are the same polynomial. Instances are immutable; all arithmetic returns
-    new values, which makes them safe to share across threads.
+    are the same polynomial. Instances are immutable, and a product by an
+    integer returns a new value, which makes them safe to share across threads.
     """
 
     __slots__ = ("coeffs",)
@@ -32,13 +33,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> IntPolynomial:
-        """The single-term polynomial coeff * X^power."""
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
-        return cls([0] * power + [coeff])
 
     @classmethod
     def from_digits(cls, value: int, width: int) -> IntPolynomial:
@@ -54,9 +48,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, power: int) -> int:
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else 0
 
     def evaluate(self, x: int) -> int:
         """Exact Horner evaluation at an integer point."""
@@ -92,56 +83,11 @@ class IntPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    @staticmethod
-    def _coerce(value) -> IntPolynomial | None:
-        if isinstance(value, IntPolynomial):
-            return value
-        if isinstance(value, int):
-            return IntPolynomial((value,))
-        return None
-
-    def __add__(self, other) -> IntPolynomial:
-        other = self._coerce(other)
-        if other is None:
+    def __mul__(self, k) -> IntPolynomial:
+        """The product by an integer k; there is no product of two polynomials."""
+        if not isinstance(k, int):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> IntPolynomial:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> IntPolynomial:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> IntPolynomial:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(k * c for c in self.coeffs)
 
     __rmul__ = __mul__
 
@@ -163,5 +109,4 @@ class IntPolynomial:
         return self.to_text()
 
 
-ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))

@@ -52,19 +52,6 @@ def q_pascal_row(n: int, p: int, width: int) -> list[int]:
     return row
 
 
-def q_factorial(r: int, p: int) -> int:
-    """The product (p - 1)(p^2 - 1)...(p^r - 1); the empty product (r=0) is 1."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    _check_base(p)
-    out = 1
-    power = 1
-    for _ in range(r):
-        power *= p
-        out *= power - 1
-    return out
-
-
 # (p, row m): the last full row gaussian_binomial built. Rows are never changed
 # in place and each call reads its own snapshot, so threads that race to replace
 # it cost each other at most a rebuild and never a wrong value: no lock needed.
@@ -95,18 +82,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         row = q_pascal_row(n, p, n)
     _row = (p, row)
     return row[k]
-
-
-def q_factorial_poly(r: int) -> IntPolynomial:
-    """q_factorial with the base left symbolic: the product of (X^s - 1) for s = 1..r."""
-    from .polynomial import ONE, IntPolynomial
-
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    out = ONE
-    for s in range(1, r + 1):
-        out = out * (IntPolynomial.monomial(s) - 1)
-    return out
 
 
 @lru_cache(maxsize=256)

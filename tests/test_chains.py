@@ -63,6 +63,9 @@ def test_domain_violations():
         bounded_chains_recurrence(-1, 2)
     with pytest.raises(ValueError):
         bounded_chains_closed_form(3, 0)
+    for p in (1, -5):  # rank 0 needs no recurrence step, but its base is still checked
+        with pytest.raises(ValueError, match=f"base p must be >= 2, got {p}"):
+            chain_counts(0, p)
 
 
 def test_closed_form_cap():

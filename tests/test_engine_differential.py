@@ -5,7 +5,9 @@ The references below are the earlier implementations, kept here verbatim in
 spirit: Gaussian binomials by exact division (a row at a time, from the
 ratio of neighbouring entries, so independent of the q-Pascal step), the bounded
 count as a memoized sum over those binomials, and the bounded polynomial as a
-sum of schoolbook IntPolynomial products over Pascal-built q-binomials. The
+sum of schoolbook products over Pascal-built q-binomials. The polynomial
+references are plain ascending coefficient tuples with their own addition and
+product, so they share no arithmetic with IntPolynomial. The
 triangle behind the polynomials is also checked against the integer
 recurrence, the engine the polynomials used before it, and the closed form
 against its earlier depth-first enumeration, kept verbatim. The recurrence,
@@ -17,6 +19,7 @@ no second engine.
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from itertools import zip_longest
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,7 +30,7 @@ from subchains.chains import (
     bounded_chains_recurrence,
     rooted_chains_poly,
 )
-from subchains.polynomial import ONE, IntPolynomial
+from subchains.polynomial import IntPolynomial
 from subchains.qarith import galois_number, gaussian_binomial, gaussian_binomial_poly
 
 # Small primes and composites, and bases far beyond a machine word.
@@ -63,20 +66,31 @@ def ref_bounded(n, p):
     return table[n]
 
 
+def _add(a, b):
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def ref_gaussian_binomial_poly(n, k):
+    # Ascending coefficients of [n k] by [n k] = [n-1 k-1] + X^k [n-1 k].
     if k == 0 or k == n:
-        return ONE
-    return ref_gaussian_binomial_poly(n - 1, k - 1) + IntPolynomial.monomial(k) * ref_gaussian_binomial_poly(n - 1, k)
+        return (1,)
+    return _add(ref_gaussian_binomial_poly(n - 1, k - 1), (0,) * k + ref_gaussian_binomial_poly(n - 1, k))
 
 
 @lru_cache(maxsize=None)
 def ref_bounded_poly(n):
-    if n == 0:
-        return ONE
-    total = IntPolynomial()
+    total = (1,) if n == 0 else ()
     for k in range(n):
-        total = total + ref_gaussian_binomial_poly(n, k) * ref_bounded_poly(k)
+        total = _add(total, _mul(ref_gaussian_binomial_poly(n, k), ref_bounded_poly(k)))
     return total
 
 
@@ -194,13 +208,13 @@ def test_closed_form_matches_depth_first_enumeration(point):
 @given(rank_pair(24))
 def test_binomial_poly_matches_pascal_products(pair):
     n, k = pair
-    assert gaussian_binomial_poly(n, k) == ref_gaussian_binomial_poly(n, k)
+    assert gaussian_binomial_poly(n, k).coeffs == ref_gaussian_binomial_poly(n, k)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 14))
 def test_bounded_poly_matches_schoolbook_sum(n):
-    assert bounded_chains_poly(n) == ref_bounded_poly(n)
+    assert bounded_chains_poly(n).coeffs == ref_bounded_poly(n)
 
 
 @settings(deadline=None, max_examples=40)
@@ -238,7 +252,7 @@ def test_deep_poly_evaluates_to_the_integer_engine():
 
 def test_rooted_poly_is_twice_the_bounded_poly():
     for n in range(1, 15):
-        assert rooted_chains_poly(n) == IntPolynomial(2 * c for c in ref_bounded_poly(n).coeffs)
+        assert rooted_chains_poly(n).coeffs == tuple(2 * c for c in ref_bounded_poly(n))
 
 
 def test_deep_binomial_poly_needs_no_recursion():

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from subchains.polynomial import ONE, ZERO, IntPolynomial
+from subchains.polynomial import ONE, IntPolynomial
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPolynomial)
+scalars = st.integers(-9, 9)
 points = st.integers(-50, 50)
 
-X = IntPolynomial.monomial(1)
+ZERO = IntPolynomial()
 
 
 def test_canonical_zero_is_empty():
@@ -16,23 +17,16 @@ def test_canonical_zero_is_empty():
     assert IntPolynomial([1, 0, 0]).coeffs == (1,)
 
 
-def test_add_examples():
-    assert (X + 1) + (X - 1) == IntPolynomial([0, 2])
-    assert ZERO + IntPolynomial.monomial(2) == IntPolynomial.monomial(2)
-    f3 = IntPolynomial([8, 8, 8, 2])
-    assert f3 + ZERO == f3
-
-
 def test_mul_examples():
-    assert (X - 1) * (X + 1) == IntPolynomial([-1, 0, 1])
-    anything = IntPolynomial([3, -2, 5])
-    assert anything * ONE == anything
-    assert (X - 1) * (IntPolynomial.monomial(2) - 1) == IntPolynomial([1, -1, -1, 1])
+    assert IntPolynomial([-1, 1]) * 3 == IntPolynomial([-3, 3])
+    assert -1 * IntPolynomial([1, -1, -1, 1]) == IntPolynomial([-1, 1, 1, -1])
+    with pytest.raises(TypeError):
+        IntPolynomial([1, 1]) * IntPolynomial([-1, 1])  # no product of two polynomials
 
 
 def test_scale_examples():
-    assert 2 * (X + 2) == IntPolynomial([4, 2])
-    assert 0 * IntPolynomial.monomial(5) == ZERO
+    assert 2 * IntPolynomial([2, 1]) == IntPolynomial([4, 2])
+    assert 0 * IntPolynomial([0, 0, 0, 0, 0, 1]) == ZERO
     a = IntPolynomial([7, 0, -3])
     assert 1 * a == a
 
@@ -63,13 +57,7 @@ def test_degree_and_coefficient():
     assert ZERO.degree == -1
     assert ONE.degree == 0
     assert IntPolynomial([0, 0, 5]).degree == 2
-    assert IntPolynomial([1, 2]).coefficient(0) == 1
-    assert IntPolynomial([1, 2]).coefficient(7) == 0
-
-
-def test_monomial_rejects_negative_power():
-    with pytest.raises(ValueError):
-        IntPolynomial.monomial(-1)
+    assert IntPolynomial([1, 2]).coeffs[0] == 1
 
 
 def test_text_rendering():
@@ -90,47 +78,33 @@ def test_coefficient_strings():
     assert ZERO.coefficient_strings() == ["0"]
 
 
-@given(polys, polys)
-def test_add_commutative(a, b):
-    assert a + b == b + a
+@given(polys, scalars)
+def test_mul_commutative(a, k):
+    assert k * a == a * k
 
 
-@given(polys, polys, polys)
-def test_add_associative(a, b, c):
-    assert (a + b) + c == a + (b + c)
-
-
-@given(polys, polys)
-def test_mul_commutative(a, b):
-    assert a * b == b * a
-
-
-@given(polys, polys, polys)
-def test_mul_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-@given(polys, polys, polys)
-def test_distributive(a, b, c):
-    assert a * (b + c) == a * b + a * c
+@given(polys, scalars, scalars)
+def test_mul_associative(a, j, k):
+    assert (j * k) * a == j * (k * a)
+    assert a * (j * k) == (a * j) * k
 
 
 @given(polys)
 def test_identities(a):
-    assert a + ZERO == a
-    assert a * ONE == a
-    assert a + (-a) == ZERO
+    assert 1 * a == a
+    assert a * 1 == a
+    assert 0 * a == ZERO
+    assert -1 * (-1 * a) == a
 
 
-@given(polys, polys, points)
-def test_evaluation_is_a_ring_homomorphism(a, b, x):
-    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
-    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+@given(polys, scalars, points)
+def test_evaluation_respects_scalar_products(a, k, x):
+    assert (k * a).evaluate(x) == k * a.evaluate(x)
 
 
-@given(polys, polys)
-def test_results_are_canonical(a, b):
-    for result in (a + b, a * b, a - b, -a, 3 * a):
+@given(polys, scalars)
+def test_results_are_canonical(a, k):
+    for result in (k * a, a * k, 0 * a):
         assert IntPolynomial(result.coeffs) == result
         assert not result.coeffs or result.coeffs[-1] != 0
 

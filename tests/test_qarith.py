@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subchains.polynomial import ONE, IntPolynomial
-from subchains.qarith import (
-    galois_number,
-    gaussian_binomial,
-    gaussian_binomial_poly,
-    q_factorial,
-    q_factorial_poly,
-)
+from subchains.qarith import galois_number, gaussian_binomial, gaussian_binomial_poly
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -19,24 +13,6 @@ def product_loop(r, p):
     for s in range(1, r + 1):
         out *= p**s - 1
     return out
-
-
-@pytest.mark.parametrize("r,p,expected", [(0, 2, 1), (1, 3, 2), (3, 2, 21)])
-def test_q_factorial_examples(r, p, expected):
-    assert q_factorial(r, p) == expected
-
-
-def test_q_factorial_matches_product_loop():
-    for p in (2, 3, 5):
-        for r in range(9):
-            assert q_factorial(r, p) == product_loop(r, p)
-
-
-def test_q_factorial_rejects_bad_domain():
-    with pytest.raises(ValueError):
-        q_factorial(3, 1)
-    with pytest.raises(ValueError):
-        q_factorial(-1, 2)
 
 
 @pytest.mark.parametrize(
@@ -67,20 +43,7 @@ def test_exact_divisibility_on_grid():
     for p in PRIMES:
         for n in range(11):
             for k in range(n + 1):
-                assert q_factorial(n, p) % (q_factorial(k, p) * q_factorial(n - k, p)) == 0
-
-
-def test_q_factorial_poly_examples():
-    assert q_factorial_poly(0) == ONE
-    assert q_factorial_poly(1) == IntPolynomial([-1, 1])
-    assert q_factorial_poly(2) == IntPolynomial([1, -1, -1, 1])
-
-
-def test_q_factorial_poly_matches_numeric():
-    for r in range(9):
-        poly = q_factorial_poly(r)
-        for p in PRIMES:
-            assert poly.evaluate(p) == q_factorial(r, p)
+                assert product_loop(n, p) % (product_loop(k, p) * product_loop(n - k, p)) == 0
 
 
 def test_gaussian_binomial_poly_examples():
