@@ -248,10 +248,13 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
 
 
 def clear_caches() -> None:
-    """Leave the engine cold: drop the recurrence memo, the binomial caches and the kept row."""
+    """Leave the engine cold: drop the recurrence memo, the kept half row and the polynomial binomial cache.
+
+    gaussian_binomial stores no entries; clearing it zeroes its call counter.
+    """
     global _memo
     with _memo_lock:
         _memo = (0, [1])
     qarith.gaussian_binomial.cache_clear()
     qarith.gaussian_binomial_poly.cache_clear()
-    qarith._row = (0, [1])
+    qarith._row = qarith._COLD_ROW

@@ -162,12 +162,14 @@ def test_rooted_count_strictly_increases_in_base():
 
 
 def test_clear_caches_leaves_the_engine_cold():
+    chain_counts(6, 3)
     rooted_chains_poly(4)
     qarith.gaussian_binomial_poly(4, 2)
     chains.clear_caches()
-    assert qarith.gaussian_binomial.cache_info().currsize == 0
+    info = qarith.gaussian_binomial.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert qarith.gaussian_binomial_poly.cache_info().currsize == 0
-    assert qarith._row == (0, [1])
+    assert qarith._row == (0, 0, [1])
     assert chains._memo == (0, [1])
 
 

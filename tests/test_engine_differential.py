@@ -261,13 +261,44 @@ def test_deep_binomial_poly_needs_no_recursion():
     assert gaussian_binomial_poly(1100, 1099) == IntPolynomial([1] * 1100)
 
 
+@st.composite
+def binomial_calls(draw):
+    # What callers ask: row-order walks reading columns on both sides of n/2
+    # across even and odd ranks, lone entries (narrow or wide, so cold or
+    # not), and a switch of base between any two of them.
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.sampled_from([2, 3, 4, 10, 1000003, 2**61 - 1]))
+        start = draw(st.integers(0, 40))
+        if draw(st.booleans()):
+            for n in range(start, start + draw(st.integers(1, 8))):
+                calls += [(n, k, p) for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4))]
+        else:
+            calls.append((start, draw(st.integers(0, start)), p))
+    return calls
+
+
+@settings(deadline=None, max_examples=60)
+@given(binomial_calls(), st.integers(2, 40), st.sampled_from([2, 3, 10, 1000003]))
+@example([(n, k, 3) for n in range(10) for k in reversed(range(n + 1))], 9, 3)
+@example([(40, 20, 5), (41, 3, 5), (42, 40, 5), (200, 1, 5), (43, 21, 5), (44, 2, 5), (44, 22, 7)], 2, 5)
+@example([(7, 4, 2), (8, 5, 2), (9, 1, 2), (10, 6, 2), (12, 3, 2), (12, 9, 2)], 40, 2)
+def test_half_row_layer_matches_exact_division_in_any_call_order(calls, n, p):
+    chains.clear_caches()
+    for m, k, q in calls:
+        assert gaussian_binomial(m, k, q) == ref_gaussian_binomial(m, k, q)
+    # The recurrence walks the half rows of ranks 2..n and stores no entry.
+    assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
+    assert qarith._row == (p, n, [ref_gaussian_binomial(n, k, p) for k in range(n // 2 + 1)])
+    assert gaussian_binomial.cache_info().currsize == 0
+
+
 def test_kept_row_follows_row_order_and_survives_any_other():
-    gaussian_binomial.cache_clear()  # every call below reaches the row layer
     for n in range(41):
         assert [gaussian_binomial(n, k, 3) for k in range(n + 1)] == [ref_gaussian_binomial(n, k, 3) for k in range(n + 1)]
-    assert qarith._row == (3, [ref_gaussian_binomial(40, k, 3) for k in range(41)])
+    assert qarith._row == (3, 40, [ref_gaussian_binomial(40, k, 3) for k in range(21)])
     assert gaussian_binomial(200, 1, 3) == ref_gaussian_binomial(200, 1, 3)  # narrow: own rows
-    assert qarith._row[1][20] == ref_gaussian_binomial(40, 20, 3)
+    assert qarith._row[:2] == (3, 40) and qarith._row[2][20] == ref_gaussian_binomial(40, 20, 3)
     for n, k, p in [(12, 6, 3), (41, 20, 3), (41, 7, 5), (43, 21, 3), (44, 22, 3), (3, 1, 3)]:
         assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
 
@@ -277,9 +308,9 @@ def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
     chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
     assert gaussian_binomial(40, 20, 5) == ref_gaussian_binomial(40, 20, 5)
-    assert qarith._row == (5, [ref_gaussian_binomial(40, k, 5) for k in range(41)])
+    assert qarith._row == (5, 40, [ref_gaussian_binomial(40, k, 5) for k in range(21)])
     assert bounded_chains_recurrence(52, 3) == ref_bounded(52, 3)
-    assert qarith._row == (3, [ref_gaussian_binomial(52, k, 3) for k in range(53)])
+    assert qarith._row == (3, 52, [ref_gaussian_binomial(52, k, 3) for k in range(27)])
 
 
 def test_polynomials_leave_the_integer_engine_alone():
