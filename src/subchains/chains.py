@@ -28,9 +28,13 @@ q-binomial theorem for q-commuting operators gives ((D + S)^m b)_0 =
 sum_k [m k] b_k = 2 b_m for m >= 1. In T[0] = b, T[j] = (D + S) T[j-1], that
 is T[j][i] = p^i T[j-1][i] + T[j-1][i+1], b_m has coefficient 1 in every
 entry of antidiagonal m, so one pass along it with b_m = 0 lands b_m at
-T[m][0]. At p = 2^K each step is a shift and an addition. The polynomial has
-non-negative coefficients that sum to b_n(1), the ordered Bell number (the
-triangle at p = 1), so its value at p = 2^K > b_n(1) holds them as digits.
+T[m][0]. At p = +-2^K each step is a shift and an addition or a subtraction.
+The polynomial has non-negative coefficients that sum to b_n(1), the ordered
+Bell number (the triangle at p = 1), so each is below 2^(2K) once 2^(2K) >
+b_n(1). Then the half-sum of the values at 2^K and -2^K holds the even
+coefficients as base-2^(2K) digits, and the half-difference over 2^K the odd
+ones, with no carries; each of the two passes holds integers half as wide
+as a single evaluation at 2^(2K) would.
 
 Unrolling b_n gives a cross-check: a sum over the subsets of {1, ..., n-1},
 each a chain of intermediate dimensions that contributes the product of the
@@ -150,8 +154,8 @@ def check_poly_bits(n: int) -> None:
     """Refuse a rank whose polynomial is over POLY_BITS_CAP bits by the bound n(n-1)/2 * n*log2(n).
 
     Its n(n-1)/2 + 1 coefficients sum to b_n(1) <= n^n (an ordered set
-    partition is a map into {1..n}), so the bound also covers the integer the
-    triangle builds at p = 2^(8 * width).
+    partition is a map into {1..n}), so the bound also covers the two integers
+    the triangle builds at p = +-2^(4 * width), each about half the polynomial's bits.
     """
     _check_rank(n)
     pairs = n * (n - 1) // 2
@@ -206,14 +210,22 @@ def chain_counts(n: int, p: int) -> ChainCounts:
     return ChainCounts.from_rooted(rooted)
 
 
-def _triangle(n: int, shift: int) -> int:
-    """b_n at p = 2^shift by the antidiagonals of the triangle T: shifts and additions only."""
+def _triangle(n: int, shift: int, sign: int = 1) -> int:
+    """b_n at p = sign * 2^shift by the antidiagonals of the triangle T: shifts, additions and subtractions only.
+
+    At sign = -1 the terms p^i T[j][i] with an odd i are negative, so they are subtracted.
+    """
+    odd = 1 if sign < 0 else 0  # e & odd is 1 exactly when p^e < 0
     diag = [1]  # antidiagonal m of T: diag[j] = T[j][m-j]
     for m in range(1, n + 1):
         acc = 0  # T[j][m-j] with b_m = 0, built from antidiagonal m-1 in place
         for j in range(m):
             x, diag[j] = diag[j], acc
-            acc += x << shift * (m - 1 - j)
+            e = m - 1 - j
+            if e & odd:
+                acc -= x << shift * e
+            else:
+                acc += x << shift * e
         diag.append(acc)  # T[m][0] = 2 b_m - b_m
         for j in range(m + 1):
             diag[j] += acc
@@ -223,14 +235,30 @@ def _triangle(n: int, shift: int) -> int:
 def bounded_chains_poly(n: int) -> IntPolynomial:
     """Bounded-chain count with the base left symbolic, by Kronecker substitution (no memo, no lock).
 
-    Both values come from the product-free triangle, not the binomial sum:
-    at p = 1 it gives the digit bound b_n(1), at p = 2^(8 * width) the digits.
+    Every value comes from the product-free triangle, not the binomial sum.
+    At p = 1 it gives the digit bound b_n(1), which sets the digit 2^(8 * width)
+    that holds one coefficient. At p = 2^K and p = -2^K, with K = 4 * width
+    bits (half a digit), it gives f(+) and f(-), and
+
+        (f(+) + f(-)) / 2 = sum_i c_(2i) 2^(2K i),    (f(+) - f(-)) / 2^(K+1) = sum_i c_(2i+1) 2^(2K i),
+
+    so the even and the odd coefficients are the carry-free digits of these
+    two. The triangle's entries are half as wide as at the single point
+    2^(8 * width), and so is its peak memory.
     """
     from .polynomial import IntPolynomial
 
     _check_rank(n)
     width = -(-_triangle(n, 0).bit_length() // 8)  # bytes per coefficient
-    return IntPolynomial.from_digits(_triangle(n, 8 * width), width)
+    shift = 4 * width
+    plus = _triangle(n, shift)
+    minus = _triangle(n, shift, -1)
+    even = IntPolynomial.from_digits((plus + minus) >> 1, width).coeffs
+    odd = IntPolynomial.from_digits((plus - minus) >> shift + 1, width).coeffs
+    coeffs = [0] * (2 * max(len(even), len(odd)))
+    coeffs[0 : 2 * len(even) : 2] = even
+    coeffs[1 : 2 * len(odd) : 2] = odd
+    return IntPolynomial(coeffs)
 
 
 def rooted_chains_poly(n: int) -> IntPolynomial:

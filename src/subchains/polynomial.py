@@ -7,8 +7,9 @@ small (at most n(n-1)/2 for rank n), so the representation is a dense
 ascending coefficient tuple. The one arithmetic operation is the product by
 an integer (the rooted count is twice the bounded one): the counting engine
 multiplies no polynomials, it evaluates the product-free triangle
-(chains._triangle) at a power of two and splits the value into coefficients
-with from_digits (Kronecker substitution).
+(chains._triangle) at plus and minus a power of two and splits the half-sum
+and half-difference into even and odd coefficients with from_digits
+(Kronecker substitution at two points).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
@@ -147,6 +148,23 @@ def test_rooted_poly_60_within_the_target():
     assert poly.degree == 1770
     assert poly.coeffs[-1] == 2
     assert poly.coeffs[0] == 2**60
+
+
+def test_poly_60_holds_half_width_kronecker_integers():
+    # The triangle runs at p = +-2^(4 * width), half a coefficient digit, so the
+    # traced peak stays well under (n+1) integers of the full width
+    # (n(n-1)/2 + 1) * width bytes, which evaluating at 2^(8 * width) held.
+    n = 60
+    width = -(-chains._triangle(n, 0).bit_length() // 8)
+    full = (n * (n - 1) // 2 + 1) * width
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bounded_chains_poly(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * (n + 1) * full
 
 
 def test_rooted_count_strictly_increases_in_rank():

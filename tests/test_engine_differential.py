@@ -213,6 +213,9 @@ def test_binomial_poly_matches_pascal_products(pair):
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 14))
+@example(0)  # no odd coefficient
+@example(1)
+@example(2)  # b_2 = p + 2: one odd coefficient
 def test_bounded_poly_matches_schoolbook_sum(n):
     assert bounded_chains_poly(n).coeffs == ref_bounded_poly(n)
 
@@ -225,9 +228,10 @@ def test_bounded_poly_evaluates_to_the_recurrence(n, p):
 
 @st.composite
 def triangle_point(draw):
-    # poly --n 40 runs at shift 184. The reference needs about 18 s for
-    # n = 80 at 2^160, so shifts beyond a machine word stop at n = 32.
-    shift = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 61, 64, 160, 184]))
+    # poly runs at shifts of half a coefficient digit: 92 for n = 40, 152 for
+    # n = 60. The reference needs about 18 s for n = 80 at 2^160, so shifts
+    # beyond a machine word stop at n = 32.
+    shift = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 61, 64, 92, 152, 160, 184]))
     return draw(st.integers(0, 80 if shift <= 8 else 32)), shift
 
 
@@ -236,6 +240,8 @@ def triangle_point(draw):
 def test_triangle_matches_memoized_binomial_sums(point):
     n, shift = point
     assert chains._triangle(n, shift) == ref_bounded(n, 2**shift)
+    # The reference's divisions stay exact at a negative base.
+    assert chains._triangle(n, shift, -1) == ref_bounded(n, -(2**shift))
 
 
 def test_triangle_at_one_gives_ordered_bell_numbers():
