@@ -276,13 +276,8 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
 
 
 def clear_caches() -> None:
-    """Leave the engine cold: drop the recurrence memo, the kept half row and the polynomial binomial cache.
-
-    gaussian_binomial stores no entries; clearing it zeroes its call counter.
-    """
+    """Leave the engine cold: drop the recurrence memo, then reset qarith (its kept half row and call counters)."""
     global _memo
     with _memo_lock:
         _memo = (0, [1])
-    qarith.gaussian_binomial.cache_clear()
-    qarith.gaussian_binomial_poly.cache_clear()
-    qarith._row = qarith._COLD_ROW
+    qarith.clear_caches()

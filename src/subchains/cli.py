@@ -161,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             oracle = lattice.count_chains(lattice.build_lattice(p, n, budget=args.budget))
             rooted = chains.chain_counts(n, p).rooted
             compare("oracle-rooted", p, n, oracle.counts.rooted, rooted, str(rooted))
-            census = tuple(qarith.gaussian_binomial(n, k, p) for k in range(n + 1))
+            census = tuple(qarith.q_pascal_row(n, p, n))
             compare("oracle-subspace-counts", p, n, oracle.subgroups_by_dim, census, ",".join(map(str, census)))
             c = oracle.counts
             ok = c.rooted == c.unrooted + 1 and c.total == 2 * c.rooted - 1

@@ -60,11 +60,12 @@ _COLD_ROW: tuple[int, int, list[int]] = (0, 0, [1])
 _row = _COLD_ROW
 
 
-# maxsize=0 stores nothing and counts every call as a miss: count and table
-# never ask an entry twice, and a repeat costs one read of the kept half row.
-# The wrapper stays only because the benchmark's tracer (bench/launcher.py)
-# times this layer through its __wrapped__ and cache_parameters; it can go
-# when the tracer stops needing them.
+# maxsize=0 stores nothing and counts every call as a miss, here and on
+# gaussian_binomial_poly below: count and table never ask an entry twice, a
+# repeat costs one read of the kept half row, and no command calls
+# gaussian_binomial_poly. The wrappers stay only because the benchmark's tracer
+# (bench/launcher.py) times both layers through their __wrapped__ and
+# cache_parameters; they can go when the tracer stops needing them.
 @lru_cache(maxsize=0)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p).
@@ -94,7 +95,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return row[k]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=0)
 def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
     """The q-binomial [n choose k] as a polynomial in the base; its coefficients sum to comb(n, k)."""
     from .polynomial import IntPolynomial
@@ -104,6 +105,14 @@ def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
     k = min(k, n - k)
     width = -(-comb(n, k).bit_length() // 8)  # bytes per coefficient
     return IntPolynomial.from_digits(q_pascal_row(n, 1 << 8 * width, k)[-1], width)
+
+
+def clear_caches() -> None:
+    """Forget the kept half row and zero both wrappers' call counters."""
+    global _row
+    _row = _COLD_ROW
+    gaussian_binomial.cache_clear()
+    gaussian_binomial_poly.cache_clear()
 
 
 def galois_number(n: int, p: int) -> int:

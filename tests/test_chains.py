@@ -189,6 +189,15 @@ def test_clear_caches_leaves_the_engine_cold():
     assert qarith.gaussian_binomial_poly.cache_info().currsize == 0
     assert qarith._row == (0, 0, [1])
     assert chains._memo == (0, [1])
+    # qarith's reset alone leaves the recurrence memo warm.
+    chain_counts(6, 3)
+    qarith.gaussian_binomial_poly(4, 2)
+    memo = chains._memo
+    qarith.clear_caches()
+    assert qarith._row == (0, 0, [1])
+    assert qarith.gaussian_binomial.cache_info().misses == 0
+    assert qarith.gaussian_binomial_poly.cache_info().misses == 0
+    assert chains._memo is memo and memo[0] == 3
 
 
 def test_concurrent_evaluation_matches_serial():

@@ -229,13 +229,13 @@ def test_verify_reports_a_wrong_rooted_formula(monkeypatch, capsys):
 
 
 def test_verify_reports_a_wrong_subspace_census(monkeypatch, capsys):
-    true_binomial = qarith.gaussian_binomial
+    true_row = qarith.q_pascal_row
 
-    def corrupted(n, k, p):
-        value = true_binomial(n, k, p)
-        return value + 1 if (n, k) == (2, 1) else value
+    def corrupted(n, p, width):
+        row = true_row(n, p, width)
+        return [x + 1 if (n, k) == (2, 1) else x for k, x in enumerate(row)]
 
-    monkeypatch.setattr(qarith, "gaussian_binomial", corrupted)
+    monkeypatch.setattr(qarith, "q_pascal_row", corrupted)
     assert run_corrupted_oracle_grid(capsys) == (
         1,
         ["FAIL oracle-subspace-counts p=2 n=2 (lattice (1, 3, 1) != formula (1, 4, 1))"],

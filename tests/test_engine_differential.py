@@ -23,7 +23,7 @@ from itertools import zip_longest
 
 from hypothesis import example, given, settings, strategies as st
 
-from subchains import chains, qarith
+from subchains import chains, cli, qarith
 from subchains.chains import (
     bounded_chains_closed_form,
     bounded_chains_poly,
@@ -310,13 +310,21 @@ def test_kept_row_follows_row_order_and_survives_any_other():
 
 
 def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
-    # verify's census reads whole rows at other bases between recurrence calls.
+    # A library caller may read whole rows at other bases between recurrence calls.
     chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
     assert gaussian_binomial(40, 20, 5) == ref_gaussian_binomial(40, 20, 5)
     assert qarith._row == (5, 40, [ref_gaussian_binomial(40, k, 5) for k in range(21)])
     assert bounded_chains_recurrence(52, 3) == ref_bounded(52, 3)
     assert qarith._row == (3, 52, [ref_gaussian_binomial(52, k, 3) for k in range(27)])
+
+
+def test_verify_census_leaves_the_kept_row_alone(capsys):
+    chains.clear_caches()
+    assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
+    assert cli.main(["verify", "--oracle", "3:4"]) == 0
+    capsys.readouterr()
+    assert qarith._row[:2] == (3, 50)
 
 
 def test_polynomials_leave_the_integer_engine_alone():

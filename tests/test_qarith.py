@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +79,20 @@ def test_gaussian_binomial_poly_symmetric():
     for n in range(11):
         for k in range(n + 1):
             assert gaussian_binomial_poly(n, k) == gaussian_binomial_poly(n, n - k)
+
+
+def test_gaussian_binomial_poly_keeps_no_polynomial():
+    gaussian_binomial_poly.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(100, 110):
+            gaussian_binomial_poly(n, n // 2)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gaussian_binomial_poly.cache_info().currsize == 0
+    assert held < 0.1 * 2**20
 
 
 def test_galois_number_small_values():
