@@ -12,7 +12,7 @@ first read of a public name imports its home module (listed in _HOMES) and
 keeps the value here. So a caller pays only for the modules it touches.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # Every public name and the submodule that defines it.
 _HOMES = {
@@ -31,8 +31,6 @@ _HOMES = {
     "is_prime": "lattice",
     "IntPolynomial": "polynomial",
     "galois_number": "qarith",
-    "gaussian_binomial": "qarith",
-    "gaussian_binomial_poly": "qarith",
 }
 
 __all__ = sorted(_HOMES)

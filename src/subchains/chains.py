@@ -54,7 +54,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
-from .qarith import _check_base, gaussian_binomial, q_pascal_step
+from .qarith import check_base, check_rank, gaussian_binomial, q_pascal_step
 
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
@@ -91,11 +91,6 @@ class ChainCounts(NamedTuple):
         return cls(rooted=rooted, unrooted=rooted - 1, total=2 * rooted - 1)
 
 
-def _check_rank(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"rank n must be >= 0, got {n}")
-
-
 # (p, [b_0..b_m]) for the most recent base only, so memory stays bounded
 # however many bases a process sees; the lock serializes extending it.
 _memo: tuple[int, list[int]] = (0, [1])
@@ -112,8 +107,8 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
     evict each other's memo.
     """
     global _memo
-    _check_rank(n)
-    _check_base(p)
+    check_rank(n)
+    check_base(p)
     with _memo_lock:
         if _memo[0] != p:
             _memo = (p, [1])
@@ -143,8 +138,8 @@ def check_count_bits(n: int, p: int) -> None:
     so this bounds its work; the worst admitted request is at p = 2, the most
     ranks per bit.
     """
-    _check_rank(n)
-    _check_base(p)
+    check_rank(n)
+    check_base(p)
     pairs = n * (n - 1) // 2
     if pairs > COUNT_BITS_CAP or pairs * log2(p) > COUNT_BITS_CAP:
         raise ValueError(f"n={n} at p={p} exceeds the output cap: b_n would have over {COUNT_BITS_CAP} bits")
@@ -157,7 +152,7 @@ def check_poly_bits(n: int) -> None:
     partition is a map into {1..n}), so the bound also covers the two integers
     the triangle builds at p = +-2^(4 * width), each about half the polynomial's bits.
     """
-    _check_rank(n)
+    check_rank(n)
     pairs = n * (n - 1) // 2
     if pairs > POLY_BITS_CAP or pairs * n * log2(max(n, 1)) > POLY_BITS_CAP:
         raise ValueError(f"n={n} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits")
@@ -179,8 +174,8 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
     recurrence, the engine this function checks. Exponential in n, so ranks
     above the cap are refused (see check_closed_form_rank).
     """
-    _check_rank(n)
-    _check_base(p)
+    check_rank(n)
+    check_base(p)
     check_closed_form_rank(n)
     rows = [[1]]
     for _ in range(n):
@@ -205,7 +200,7 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
 
 def chain_counts(n: int, p: int) -> ChainCounts:
     """All three chain tallies for Z_p^n, from the recurrence."""
-    _check_base(p)  # also at rank 0, which the recurrence never reaches
+    check_base(p)  # also at rank 0, which the recurrence never reaches
     rooted = 1 if n == 0 else 2 * bounded_chains_recurrence(n, p)
     return ChainCounts.from_rooted(rooted)
 
@@ -248,7 +243,7 @@ def bounded_chains_poly(n: int) -> IntPolynomial:
     """
     from .polynomial import IntPolynomial
 
-    _check_rank(n)
+    check_rank(n)
     width = -(-_triangle(n, 0).bit_length() // 8)  # bytes per coefficient
     shift = 4 * width
     plus = _triangle(n, shift)
@@ -269,7 +264,7 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
     """
     from .polynomial import ONE
 
-    _check_rank(n)
+    check_rank(n)
     if n == 0:
         return ONE
     return 2 * bounded_chains_poly(n)

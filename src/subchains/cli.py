@@ -130,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Refuse bad or over-limit requests before the first check runs or prints.
     lattice.check_budget(args.budget)
     if run_methods:
-        qarith._check_base(min(primes))
+        qarith.check_base(min(primes))
         if max_n < 0:
             raise ValueError(f"--max-n must be >= 0, got {max_n}")
         chains.check_closed_form_rank(max_n)

@@ -27,7 +27,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .chains import DEFAULT_NODE_BUDGET, ChainCounts
-from .qarith import galois_number
+from .qarith import check_rank, galois_number
 
 
 def is_prime(m: int) -> bool:
@@ -66,8 +66,7 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
     computed last, a rank of at most budget.bit_length().
     """
     check_budget(budget)
-    if n < 0:
-        raise ValueError(f"rank n must be >= 0, got {n}")
+    check_rank(n)
     if n > budget.bit_length():
         raise ValueError(f"a rank-{n} subspace lattice has at least 2^{n} nodes, over the budget of {budget}")
     if p > budget:

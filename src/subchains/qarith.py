@@ -25,9 +25,16 @@ if TYPE_CHECKING:
     from .polynomial import IntPolynomial
 
 
-def _check_base(p: int) -> None:
+def check_base(p: int) -> None:
+    """Refuse a base below 2."""
     if p < 2:
         raise ValueError(f"base p must be >= 2, got {p}")
+
+
+def check_rank(n: int) -> None:
+    """Refuse a negative rank."""
+    if n < 0:
+        raise ValueError(f"rank n must be >= 0, got {n}")
 
 
 def q_pascal_step(row: list[int], p: int, width: int) -> list[int]:
@@ -61,38 +68,34 @@ _row = _COLD_ROW
 
 
 # maxsize=0 stores nothing and counts every call as a miss, here and on
-# gaussian_binomial_poly below: count and table never ask an entry twice, a
-# repeat costs one read of the kept half row, and no command calls
-# gaussian_binomial_poly. The wrappers stay only because the benchmark's tracer
-# (bench/launcher.py) times both layers through their __wrapped__ and
-# cache_parameters; they can go when the tracer stops needing them.
+# gaussian_binomial_poly below: the recurrence never asks an entry twice, and
+# no command calls gaussian_binomial_poly. The wrappers stay only because the
+# benchmark's tracer (bench/launcher.py) times both layers through their
+# __wrapped__ and cache_parameters; they can go when the tracer stops needing them.
 @lru_cache(maxsize=0)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p).
+    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p), read in row order.
 
-    Only columns k <= n/2 are built, since [n k] = [n n-k]. Asked row by row
-    in increasing rank, as the recurrence asks, each row costs one step of the
-    kept half row. Other entries with min(k, n-k) < n/4 build only those
-    columns (measured at most four fifths of a half row's time); wider ones
-    walk half rows up from row 0 and keep row n's, so a walk that another
-    caller moved resumes.
+    Only columns k <= n/2 are built, since [n k] = [n n-k]. The kept half row
+    steps up to row n if it is at base p and rank at most n; otherwise the
+    walk starts again from row 0. Either way row n's half row is kept. So the
+    recurrence, which asks rows in increasing rank, pays one step per row. For
+    one entry out of that order, q_pascal_row(n, p, min(k, n - k))[-1] builds
+    only the columns it needs.
     """
     global _row
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    _check_base(p)
-    k = min(k, n - k)
+    check_base(p)
     base, m, row = _row
-    if base != p or not n - 1 <= m <= n:
-        if 4 * k < n:
-            return q_pascal_row(n, p, k)[-1]
+    if base != p or m > n:
         m, row = 0, [1]
     while m < n:
         m += 1
         # Row m-1 stops at column (m-1)//2; for even m, column m/2 - 1 is also column m/2.
         row = q_pascal_step(row + row[-1:] if m % 2 == 0 else row, p, m // 2)
     _row = (p, n, row)
-    return row[k]
+    return row[min(k, n - k)]
 
 
 @lru_cache(maxsize=0)
@@ -117,7 +120,6 @@ def clear_caches() -> None:
 
 def galois_number(n: int, p: int) -> int:
     """Total number of subspaces of F_p^n, summed over all dimensions."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _check_base(p)
+    check_rank(n)
+    check_base(p)
     return sum(q_pascal_row(n, p, n))

@@ -270,8 +270,9 @@ def test_deep_binomial_poly_needs_no_recursion():
 @st.composite
 def binomial_calls(draw):
     # What callers ask: row-order walks reading columns on both sides of n/2
-    # across even and odd ranks, lone entries (narrow or wide, so cold or
-    # not), and a switch of base between any two of them.
+    # across even and odd ranks, lone entries at or above the kept row's rank
+    # (a step up) or below it (a walk from row 0), and a switch of base
+    # between any two of them.
     calls = []
     for _ in range(draw(st.integers(1, 6))):
         p = draw(st.sampled_from([2, 3, 4, 10, 1000003, 2**61 - 1]))
@@ -289,6 +290,7 @@ def binomial_calls(draw):
 @example([(n, k, 3) for n in range(10) for k in reversed(range(n + 1))], 9, 3)
 @example([(40, 20, 5), (41, 3, 5), (42, 40, 5), (200, 1, 5), (43, 21, 5), (44, 2, 5), (44, 22, 7)], 2, 5)
 @example([(7, 4, 2), (8, 5, 2), (9, 1, 2), (10, 6, 2), (12, 3, 2), (12, 9, 2)], 40, 2)
+@example([(10, 5, 3), (30, 2, 3), (12, 6, 3)], 20, 3)
 def test_half_row_layer_matches_exact_division_in_any_call_order(calls, n, p):
     chains.clear_caches()
     for m, k, q in calls:
@@ -299,13 +301,30 @@ def test_half_row_layer_matches_exact_division_in_any_call_order(calls, n, p):
     assert gaussian_binomial.cache_info().currsize == 0
 
 
-def test_kept_row_follows_row_order_and_survives_any_other():
+def test_kept_row_steps_up_from_any_lower_rank(monkeypatch):
+    # One rule: the kept half row steps up to row n when it is at base p and
+    # rank <= n; any other read walks from row 0. Either way row n is kept.
+    steps = []
+    step = qarith.q_pascal_step
+
+    def counted(row, p, width):
+        steps.append(width)
+        return step(row, p, width)
+
+    monkeypatch.setattr(qarith, "q_pascal_step", counted)
+    chains.clear_caches()
+    assert bounded_chains_recurrence(40, 3) == ref_bounded(40, 3)
+    assert qarith._row == (3, 40, [ref_gaussian_binomial(40, k, 3) for k in range(21)])
+    for n, k, p, walked in [(45, 20, 3, 5), (200, 1, 3, 155), (12, 6, 3, 12)]:
+        steps.clear()
+        assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
+        assert (len(steps), qarith._row[:2]) == (walked, (p, n))
+    # Reading every entry of rows 0..40 in order: one restart, then one step per row.
+    steps.clear()
     for n in range(41):
         assert [gaussian_binomial(n, k, 3) for k in range(n + 1)] == [ref_gaussian_binomial(n, k, 3) for k in range(n + 1)]
-    assert qarith._row == (3, 40, [ref_gaussian_binomial(40, k, 3) for k in range(21)])
-    assert gaussian_binomial(200, 1, 3) == ref_gaussian_binomial(200, 1, 3)  # narrow: own rows
-    assert qarith._row[:2] == (3, 40) and qarith._row[2][20] == ref_gaussian_binomial(40, 20, 3)
-    for n, k, p in [(12, 6, 3), (41, 20, 3), (41, 7, 5), (43, 21, 3), (44, 22, 3), (3, 1, 3)]:
+    assert len(steps) == 40
+    for n, k, p in [(41, 20, 3), (41, 7, 5), (43, 21, 3), (44, 22, 3), (3, 1, 3)]:
         assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
 
 

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from importlib import import_module
@@ -7,6 +8,7 @@ from types import ModuleType
 import pytest
 
 import subchains
+from subchains import qarith
 
 
 def test_every_public_name_is_its_home_module_value():
@@ -47,3 +49,33 @@ def test_import_loads_no_submodule_until_a_name_is_read():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src)], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["", "subchains.chains subchains.qarith", "subchains.lattice True"]
+
+
+def test_binomials_left_the_public_names_in_0_3_0():
+    assert subchains.__version__ == "0.3.0"
+    for name in ("gaussian_binomial", "gaussian_binomial_poly"):
+        with pytest.raises(AttributeError):
+            getattr(subchains, name)
+        assert name not in subchains.__all__ and name not in dir(subchains)
+        # Still in qarith: the recurrence calls one, and the benchmark's tracer wraps both.
+        kept = getattr(qarith, name)
+        assert hasattr(kept, "__wrapped__") and hasattr(kept, "cache_parameters")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_name():
+    # Neither `from .m import _x` nor `m._x` for a sibling module m, in any module of the package.
+    src = Path(subchains.__file__).resolve().parent
+    siblings = {path.stem for path in src.glob("*.py")}
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reads += [f"{path.name}:{node.lineno} {node.module}.{a.name}" for a in node.names if _private(a.name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                if _private(node.attr):
+                    reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert reads == []

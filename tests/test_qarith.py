@@ -100,6 +100,8 @@ def test_galois_number_small_values():
     assert galois_number(2, 2) == 5
     assert galois_number(3, 2) == 16
     assert galois_number(3, 3) == 28
+    with pytest.raises(ValueError, match="rank n must be >= 0, got -1"):
+        galois_number(-1, 2)
 
 
 @st.composite
