@@ -36,21 +36,23 @@ coefficients as base-2^(2K) digits, and the half-difference over 2^K the odd
 ones, with no carries; each of the two passes holds integers half as wide
 as a single evaluation at 2^(2K) would.
 
-Unrolling b_n gives a cross-check: a sum over the subsets of {1, ..., n-1},
-each a chain of intermediate dimensions that contributes the product of the
-Gaussian binomials between consecutive ones (the empty subset contributes 1).
-It walks the high dimensions depth first and expands the low ones breadth
-first, one list of terms per lowest dimension, which holds at most 2^12
-terms at once. Every term stays its own product: summing tails under a
-common head would be the recurrence again, not a check of it.
+Unrolling b_n gives a cross-check: a sum, over the chains of dimensions
+0 < d_1 < ... < d_(r-1) < n, of the products of the Gaussian binomials
+between consecutive ones. Such a product is the q-multinomial [n; alpha]_p
+of the composition alpha = (d_1, d_2 - d_1, ..., n - d_(r-1)) of n, and
+[n; alpha]_p does not depend on the order of alpha's parts (MacMahon), so
+the 2^(n-1) compositions fall into the p(n) partitions of n, each summed as
+one term times its number of orderings. The sum reads no b_k: equal terms
+are grouped by that symmetry, and no common head is factored out of a sum
+of tails, which would be the recurrence again, not a check of it.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import repeat
-from math import log2
-from operator import mul
+from collections.abc import Iterator
+from itertools import accumulate
+from math import factorial, log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
@@ -60,17 +62,13 @@ if TYPE_CHECKING:
     from .polynomial import IntPolynomial
 
 # Every limit a CLI request is checked against before any work: the rank of
-# the closed form (it enumerates 2^(n-1) subsets), the default node budget of
-# the lattice oracle (lattice.check_size), and the predicted bits of a count
-# (count, table) or of a polynomial (poly); see the check_* functions below.
+# the closed form, the default node budget of the lattice oracle
+# (lattice.check_size), and the predicted bits of a count (count, table) or
+# of a polynomial (poly); see the check_* functions below.
 CLOSED_FORM_CAP = 24
 DEFAULT_NODE_BUDGET = 100_000
 COUNT_BITS_CAP = 100_000
 POLY_BITS_CAP = 1 << 24
-
-# The closed form expands chains breadth first once their lowest dimension is
-# at most this plus one (measured fastest at 12; see bounded_chains_closed_form).
-_BREADTH_FIRST_BOUND = 12
 
 
 class ChainCounts(NamedTuple):
@@ -123,7 +121,12 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
 
 
 def check_closed_form_rank(n: int) -> None:
-    """Refuse ranks above the cap on the exponential closed form (the recurrence has none)."""
+    """Refuse ranks above the cap on the closed form (the recurrence has none).
+
+    The sum is cheap at the cap (1,575 partitions at n = 24); raising the cap
+    would change which verify requests are refused, a change in behaviour
+    of its own.
+    """
     if n > CLOSED_FORM_CAP:
         raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
 
@@ -158,21 +161,22 @@ def check_poly_bits(n: int) -> None:
         raise ValueError(f"n={n} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits")
 
 
-def bounded_chains_closed_form(n: int, p: int) -> int:
-    """Same count as bounded_chains_recurrence, by direct subset enumeration.
+def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts >= least, each as its parts in non-decreasing order."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
 
-    Sums over all 2^(n-1) subsets of {1, ..., n-1}. A subset read in
-    descending order is a chain of dimensions below n; it contributes the
-    product of the Gaussian binomials [upper lower] along that chain, read
-    from rows 0..n built once, and each term extends its parent's by one
-    factor. Chains are walked depth first while their lowest dimension is
-    above _BREADTH_FIRST_BOUND + 1; below that, all extensions of a chain are
-    formed breadth first, a list of terms per lowest dimension, so the
-    interpreter pays per list rather than per term and at most
-    2^_BREADTH_FIRST_BOUND terms are held at once. Every term is still its
-    own product: factoring a common head out of a sum of tails would be the
-    recurrence, the engine this function checks. Exponential in n, so ranks
-    above the cap are refused (see check_closed_form_rank).
+
+def bounded_chains_closed_form(n: int, p: int) -> int:
+    """Same count as bounded_chains_recurrence, as a sum of q-multinomials over the partitions of n.
+
+    A partition with parts l_1 <= ... <= l_r and multiplicities m_i adds
+    r!/(m_1! m_2! ...) orderings times [n; l]_p = prod_j [s_j l_j]_p, where
+    s_j = l_1 + ... + l_j; the binomials are read from rows 0..n built once.
+    Ranks above the cap are refused (see check_closed_form_rank).
     """
     check_rank(n)
     check_base(p)
@@ -181,20 +185,13 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
     for _ in range(n):
         rows.append(q_pascal_step(rows[-1], p, n))
     total = 0
-    stack = [(n, 1)]  # (lowest dimension of the subset's chain, its term)
-    while stack:
-        top, term = stack.pop()
+    for parts in _partitions(n):
+        term = factorial(len(parts))  # the compositions of n with these parts
+        for part in set(parts):
+            term //= factorial(parts.count(part))
+        for s, part in zip(accumulate(parts), parts):
+            term *= rows[s][part]
         total += term
-        if top > _BREADTH_FIRST_BOUND + 1:
-            stack.extend((lower, term * rows[top][lower]) for lower in range(1, top))
-            continue
-        groups = {top: [term]}  # lowest dimension d -> terms of the chains below top that end at d
-        for lower in range(top - 1, 0, -1):
-            terms = []
-            for d in range(lower + 1, top + 1):
-                terms += map(mul, groups[d], repeat(rows[d][lower]))
-            total += sum(terms)
-            groups[lower] = terms
     return total
 
 

@@ -98,8 +98,7 @@ class Subspace(NamedTuple):
     def from_vectors(cls, p: int, n: int, vectors: Iterable[Iterable[int]]) -> Subspace:
         """Canonical form of the span of arbitrary vectors (any integer entries)."""
         _check_prime(p)
-        if n < 0:
-            raise ValueError(f"ambient dimension n must be >= 0, got {n}")
+        check_rank(n)
         rows = [[int(e) % p for e in v] for v in vectors]
         for row in rows:
             if len(row) != n:

@@ -9,8 +9,9 @@ sum of schoolbook products over Pascal-built q-binomials. The polynomial
 references are plain ascending coefficient tuples with their own addition and
 product, so they share no arithmetic with IntPolynomial. The
 triangle behind the polynomials is also checked against the integer
-recurrence, the engine the polynomials used before it, and the closed form
-against its earlier depth-first enumeration, kept verbatim. The recurrence,
+recurrence, the engine the polynomials used before it, and the closed form,
+a sum over the partitions of n, against its earlier enumeration of every
+subset of {1, ..., n-1} depth first, kept verbatim. The recurrence,
 which pairs the symmetric columns of each row, is checked against the plain
 sum over every column, and up to rank 120 against two congruences that need
 no second engine.
@@ -176,28 +177,27 @@ def test_recurrence_satisfies_its_congruences(point):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(0, 9), BASES)
+@given(st.integers(0, chains.CLOSED_FORM_CAP), BASES)
+@example(chains.CLOSED_FORM_CAP, 2)
+@example(chains.CLOSED_FORM_CAP, 10**18 + 9)
 def test_closed_form_matches_memoized_binomial_sums(n, p):
     assert bounded_chains_closed_form(n, p) == ref_bounded(n, p)
 
 
 @st.composite
 def closed_form_point(draw):
-    # Ranks below, at and above the breadth-first switch; the widest base only
-    # where the depth-first reference stays fast.
+    # Ranks up to 16; the widest base only up to rank 12, where the
+    # subset-walk reference stays fast.
     n = draw(st.integers(0, 16))
     wide = [10**18 + 9] if n <= 12 else []
     return n, draw(st.one_of(st.integers(2, 40), st.sampled_from([4, 6, 9, 10, 12, 1000003, *wide])))
 
 
-BOUND = chains._BREADTH_FIRST_BOUND
-
-
 @settings(deadline=None, max_examples=40)
 @given(closed_form_point())
-@example((BOUND, 10**18 + 9))
-@example((BOUND + 1, 2))
-@example((BOUND + 2, 6))
+@example((12, 10**18 + 9))
+@example((13, 2))
+@example((14, 6))
 @example((16, 13))
 def test_closed_form_matches_depth_first_enumeration(point):
     n, p = point

@@ -223,6 +223,8 @@ def test_from_vectors_validates_input():
         Subspace.from_vectors(4, 2, [(1, 0)])
     with pytest.raises(ValueError, match="length"):
         Subspace.from_vectors(2, 2, [(1, 0, 1)])
+    with pytest.raises(ValueError, match="rank n must be >= 0, got -1"):
+        Subspace.from_vectors(2, -1, [])
 
 
 def test_dump_format():
