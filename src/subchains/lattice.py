@@ -10,9 +10,10 @@ over the partial order.
 Containment is not tested pair by pair. By the image lemma, the proper
 subspaces of a d-dimensional node with RREF basis B are the images U·B of
 the proper RREF subspaces U of F_p^d, and each image is already in RREF
-(B's pivots carry U's), so it names its node by a plain lookup. Building
-the lattice therefore costs the number of comparable pairs, not the square
-of the node count; is_subspace_of stays as the independent reference.
+(B's pivots carry U's), so it names its node by a plain lookup. One walk of
+each F_p^d yields the U, less its last entry F_p^d, and at d = n the nodes.
+Building therefore costs the number of comparable pairs, not the square of
+the node count; is_subspace_of stays as the independent reference.
 
 Everything here is exponential in nature and meant for small (p, n); a node
 budget refuses anything larger, and so bounds the work: the worst lattice
@@ -207,39 +208,37 @@ def _images(vectors: Iterable[tuple[int, ...]], basis: tuple[tuple[int, ...], ..
     return [tuple([sum(map(int.__mul__, v, col)) % p for col in columns]) for v in vectors]
 
 
-def _local_subspaces(p: int, d: int, budget: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The distinct rows of the proper subspaces of F_p^d, and each subspace as the positions of its RREF rows."""
-    subspaces = [s.rows for k in range(d) for s in enumerate_subspaces(p, d, k, budget=budget)]
-    vectors = sorted({row for rows in subspaces for row in rows})
+def _local_subspaces(subspaces: list[Subspace]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The distinct rows of some RREF bases, and each basis as the positions of its rows."""
+    vectors = sorted({row for s in subspaces for row in s.rows})
     slot = {row: i for i, row in enumerate(vectors)}
-    return vectors, [tuple(map(slot.__getitem__, rows)) for rows in subspaces]
+    return vectors, [tuple(map(slot.__getitem__, s.rows)) for s in subspaces]
 
 
 def build_lattice(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> SubgroupLattice:
     """Materialize the full subspace lattice of F_p^n, within the node budget.
 
     Containment is stored as the full strict relation, not just covers,
-    because the chain-counting pass sums over all proper subspaces. It is
-    read off each node's basis rather than tested pair by pair: the proper
-    subspaces of a node X of dimension d with RREF basis B are exactly the
-    images U·B of the proper RREF subspaces U of F_p^d, one each. The image
-    needs no re-reduction, because it is already in RREF: row i of U has its
-    leading 1 in some column c, so its image has zeros left of B's c-th
-    pivot and a 1 on it, and every other row of U is 0 at c, so every other
-    image row is 0 on that pivot. Each image is therefore found by one
-    dictionary lookup of its rows, and the cost is the number of comparable
-    pairs plus one small matrix product per node, not the square of the node
-    count. A broken lemma would surface as a KeyError, never as a wrong
-    relation.
+    because the chain-counting pass sums over all proper subspaces. It is read
+    off each node's basis rather than tested pair by pair: the proper subspaces
+    of a node X of dimension d with RREF basis B are exactly the images U·B of
+    the proper RREF subspaces U of F_p^d, one each. Each F_p^d is walked once,
+    by dimension then rows: F_p^n's list is the node list, and each list less
+    its last entry, F_p^d itself, is the U. The image needs no re-reduction,
+    because it is already in RREF: row i of U has its leading 1 in some column
+    c, so its image has zeros left of B's c-th pivot and a 1 on it, and every
+    other row of U is 0 at c, so every other image row is 0 on that pivot. Each
+    image is therefore found by one dictionary lookup of its rows, and the cost
+    is the number of comparable pairs plus one small matrix product per node,
+    not the square of the node count. A broken lemma would surface as a
+    KeyError, never as a wrong relation.
     """
     check_size(p, n, budget)
-    nodes: list[Subspace] = []
-    for k in range(n + 1):
-        layer = enumerate_subspaces(p, n, k, budget=budget)
-        layer.sort(key=lambda s: s.rows)
-        nodes.extend(layer)
+    walks = ([s for k in range(d + 1) for s in enumerate_subspaces(p, d, k, budget=budget)] for d in range(n + 1))
+    spaces = [sorted(walk, key=lambda s: (s.dim, s.rows)) for walk in walks]
+    nodes = spaces[n]
     index = {node.rows: i for i, node in enumerate(nodes)}
-    local = [_local_subspaces(p, d, budget) for d in range(n + 1)]
+    local = [_local_subspaces(space[:-1]) for space in spaces]
     # Tuples here are built from lists, whose length is known. One built from
     # a bare iterator is resized after it is filled, and CPython's tuple free
     # lists then keep up to 2000 freed tuples of each size: about 0.5 MB of

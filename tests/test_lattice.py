@@ -5,6 +5,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subchains import lattice as lattice_module
 from subchains.chains import chain_counts
 from subchains.lattice import (
     DEFAULT_NODE_BUDGET,
@@ -73,6 +74,15 @@ def test_budget_refusal_names_the_size():
         enumerate_subspaces(2, 10, 5, budget=1000)
     with pytest.raises(ValueError, match=str(size)):
         build_lattice(2, 10, budget=1000)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (13, 2)])
+def test_build_fits_its_exact_budget(p, n):
+    # every walk of an F_p^d, the top one included, is held to the budget
+    size = galois_number(n, p)
+    assert build_lattice(p, n, budget=size) == build_lattice(p, n)
+    with pytest.raises(ValueError, match=f"{size} nodes, over the budget of {size - 1}"):
+        build_lattice(p, n, budget=size - 1)
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 11, 101]), n=st.integers(0, 12), budget=st.integers(0, 3000))
@@ -146,6 +156,22 @@ def test_lattice_shape():
     for sup, under in enumerate(lattice.below):
         for sub in under:
             assert lattice.nodes[sub].dim < lattice.nodes[sup].dim
+
+
+@pytest.mark.parametrize("p,n,built", [(2, 4, 91), (3, 3, 37), (13, 2, 19)])
+def test_build_walks_each_space_once(p, n, built, monkeypatch):
+    walks = []
+    walk = lattice_module.enumerate_subspaces
+
+    def counted(base, d, k, budget):
+        spaces = walk(base, d, k, budget=budget)
+        walks.append(((d, k), len(spaces)))
+        return spaces
+
+    monkeypatch.setattr(lattice_module, "enumerate_subspaces", counted)
+    build_lattice(p, n)
+    assert sorted(dk for dk, _ in walks) == [(d, k) for d in range(n + 1) for k in range(d + 1)]
+    assert sum(size for _, size in walks) == built == sum(galois_number(d, p) for d in range(n + 1))
 
 
 @pytest.mark.parametrize(
