@@ -1,9 +1,9 @@
 """Command-line front-end: chain counts, polynomial tables, verification runs.
 
 Results go to stdout, diagnostics and errors to stderr. Exit codes: 0 on
-success, 1 when a verification run finds a mismatch, 2 on bad flags or
-domain errors (the message names the violated bound), 141 when the reader
-closes stdout early (the status a shell reports for SIGPIPE).
+success, 1 when a verification run finds a mismatch, 2 on bad flags, domain
+errors (the message names the violated bound) or a failed write, 141 when
+the reader closes stdout early (the status a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ import argparse
 import contextlib
 import os
 import sys
+from collections.abc import Iterable
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 from . import chains, qarith
 from .chains import CLOSED_FORM_CAP, COUNT_BITS_CAP, DEFAULT_NODE_BUDGET, POLY_BITS_CAP
-
-if TYPE_CHECKING:
-    from collections.abc import Iterable
 
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
 FORMATS = ("text", "json", "csv")
@@ -102,7 +99,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _parse_entries(flag: str, text: str, form: str) -> list[tuple[int, ...]]:
     """Comma-separated entries of colon-separated integers shaped like `form` ("p", "p:max_n")."""
     entries = []
-    for token in filter(None, map(str.strip, text.split(","))):
+    # With no entry, the whole text is the one token refused.
+    for token in [token for token in map(str.strip, text.split(",")) if token] or [text]:
         try:
             entry = tuple(map(int, token.split(":")))
         except ValueError:
@@ -110,63 +108,70 @@ def _parse_entries(flag: str, text: str, form: str) -> list[tuple[int, ...]]:
         if len(entry) != form.count(":") + 1:
             raise ValueError(f"{flag} expects comma-separated entries of the form {form}, got {token!r}")
         entries.append(entry)
-    if not entries:
-        raise ValueError(f"{flag} expects comma-separated entries of the form {form}, got {text!r}")
     return entries
+
+
+def _compare(got, want, shown: str, labels=("lattice", "formula")) -> tuple[bool, str]:
+    """A check's (ok, detail): `shown` when the two agree, else both values under their labels."""
+    return got == want, shown if got == want else f"{labels[0]} {got} != {labels[1]} {want}"
+
+
+def _methods_checks(args: argparse.Namespace):
+    primes = [p for (p,) in _parse_entries("--p", DEFAULT_VERIFY_PRIMES if args.p is None else args.p, "p")]
+    max_n = DEFAULT_VERIFY_MAX_N if args.max_n is None else args.max_n
+    qarith.check_base(min(primes))
+    if max_n < 0:
+        raise ValueError(f"--max-n must be >= 0, got {max_n}")
+    chains.check_closed_form_rank(max_n)
+    chains.check_count_bits(max_n, max(primes))
+    yield
+    for p in primes:
+        for n in range(max_n + 1):
+            a = chains.bounded_chains_recurrence(n, p)
+            b = chains.bounded_chains_closed_form(n, p)
+            yield "methods-agree", p, n, *_compare(a, b, f"{2 * a if n else 1} rooted", ("recurrence", "closed_form"))
+
+
+def _oracle_checks(args: argparse.Namespace):
+    from . import lattice
+
+    grid = _parse_entries("--oracle", DEFAULT_VERIFY_GRID if args.oracle is None else args.oracle, "p:max_n")
+    for p, n_hi in grid:
+        if n_hi < 1:
+            raise ValueError(f"--oracle entry {p}:{n_hi} checks no rank; max_n must be >= 1")
+        lattice.check_size(p, n_hi, args.budget)
+    yield
+    for p, n_hi in grid:
+        for n in range(1, n_hi + 1):
+            oracle = lattice.count_chains(lattice.build_lattice(p, n, budget=args.budget))
+            rooted = chains.chain_counts(n, p).rooted
+            yield "oracle-rooted", p, n, *_compare(oracle.counts.rooted, rooted, str(rooted))
+            census = tuple(qarith.q_pascal_row(n, p, n))
+            yield "oracle-subspace-counts", p, n, *_compare(oracle.subgroups_by_dim, census, ",".join(map(str, census)))
+            F, D, C = oracle.counts
+            yield "oracle-identities", p, n, D == F - 1 and C == 2 * F - 1, f"F={F} D={D} C={C}"
+
+
+# verify's check families, keyed by the flags that select them; with no flag
+# given, all run. A new family is a row here, its flags in build_parser, and a
+# generator of the parsed args that defaults its unset flags, refuses bad values
+# with ValueError, does a bare `yield` (so every chosen family refuses before any
+# check prints), then yields one (name, p, n, ok, detail) per check.
+VERIFY_FAMILIES = {("p", "max_n"): _methods_checks, ("oracle",): _oracle_checks}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import lattice
 
-    # With no flags both parts run on their defaults; otherwise --p or --max-n
-    # runs the methods check (the other flag defaulted) and --oracle the grid.
-    default_run = args.p is None and args.max_n is None and args.oracle is None
-    run_methods = default_run or args.p is not None or args.max_n is not None
-    primes = [p for (p,) in _parse_entries("--p", DEFAULT_VERIFY_PRIMES if args.p is None else args.p, "p")]
-    max_n = DEFAULT_VERIFY_MAX_N if args.max_n is None else args.max_n
-    grid_text = DEFAULT_VERIFY_GRID if default_run else args.oracle
-    grid = [] if grid_text is None else _parse_entries("--oracle", grid_text, "p:max_n")
-
-    # Refuse bad or over-limit requests before the first check runs or prints.
     lattice.check_budget(args.budget)
-    if run_methods:
-        qarith.check_base(min(primes))
-        if max_n < 0:
-            raise ValueError(f"--max-n must be >= 0, got {max_n}")
-        chains.check_closed_form_rank(max_n)
-    for p, n_hi in grid:
-        if n_hi < 1:
-            raise ValueError(f"--oracle entry {p}:{n_hi} checks no rank; max_n must be >= 1")
-        lattice.check_size(p, n_hi, args.budget)
-
-    results: list[bool] = []
-
-    def check(name: str, p: int, n: int, ok: bool, detail: str) -> None:
+    chosen = [family for flags, family in VERIFY_FAMILIES.items() if any(getattr(args, f) is not None for f in flags)]
+    families = [family(args) for family in chosen or VERIFY_FAMILIES.values()]
+    for checks in families:
+        next(checks)
+    results = []
+    for name, p, n, ok, detail in (line for checks in families for line in checks):
         print(f"{'PASS' if ok else 'FAIL'} {name} p={p} n={n} ({detail})")
         results.append(ok)
-
-    def compare(name: str, p: int, n: int, got, want, shown: str, labels=("lattice", "formula")) -> None:
-        ok = got == want
-        check(name, p, n, ok, shown if ok else f"{labels[0]} {got} != {labels[1]} {want}")
-
-    if run_methods:
-        for p in primes:
-            for n in range(max_n + 1):
-                a = chains.bounded_chains_recurrence(n, p)
-                b = chains.bounded_chains_closed_form(n, p)
-                compare("methods-agree", p, n, a, b, f"{2 * a if n else 1} rooted", ("recurrence", "closed_form"))
-
-    for p, n_hi in grid:
-        for n in range(1, n_hi + 1):
-            oracle = lattice.count_chains(lattice.build_lattice(p, n, budget=args.budget))
-            rooted = chains.chain_counts(n, p).rooted
-            compare("oracle-rooted", p, n, oracle.counts.rooted, rooted, str(rooted))
-            census = tuple(qarith.q_pascal_row(n, p, n))
-            compare("oracle-subspace-counts", p, n, oracle.subgroups_by_dim, census, ",".join(map(str, census)))
-            c = oracle.counts
-            ok = c.rooted == c.unrooted + 1 and c.total == 2 * c.rooted - 1
-            check("oracle-identities", p, n, ok, f"F={c.rooted} D={c.unrooted} C={c.total}")
-
     print(f"{sum(results)}/{len(results)} checks passed")
     return 0 if all(results) else 1
 
@@ -174,20 +179,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     from . import lattice
 
-    # Validate the request and open the dump file before the lattice is built,
-    # so a bad path costs nothing and leaves no half-done work.
+    # Validate the request and open the dump file before the lattice is built, so a bad
+    # path costs nothing; building and counting do no I/O, so an OSError is the dump's.
     lattice.check_size(args.p, args.n, args.budget)
     try:
-        dump = open(args.dump, "w", encoding="utf-8") if args.dump is not None else contextlib.nullcontext()
+        with open(args.dump, "w", encoding="utf-8") if args.dump is not None else contextlib.nullcontext() as dump:
+            start = perf_counter()
+            lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
+            oracle = lattice.count_chains(lat)
+            elapsed_ms = (perf_counter() - start) * 1000.0
+            if args.dump is not None:
+                dump.writelines(line + "\n" for line in lat.dump_lines())
     except OSError as exc:
         raise ValueError(f"cannot write the lattice dump: {exc}") from None
-    with dump:
-        start = perf_counter()
-        lat = lattice.build_lattice(args.p, args.n, budget=args.budget)
-        oracle = lattice.count_chains(lat)
-        elapsed_ms = (perf_counter() - start) * 1000.0
-        if args.dump is not None:
-            dump.writelines(line + "\n" for line in lat.dump_lines())
     if args.dump is not None:
         print(f"lattice dump written to {args.dump}", file=sys.stderr)
     record = _record(args.p, args.n, oracle.counts, "oracle", elapsed_ms)
@@ -211,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Limits: verify refuses closed-form ranks above {CLOSED_FORM_CAP}; verify and oracle "
-            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count and "
-            f"table refuse counts predicted at more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) at the top rank; "
-            "the count itself can have up to n*log2(n)+1 bits more), "
+            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count, table "
+            f"and verify refuse counts predicted at more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) "
+            "at the top rank; the count itself can have up to n*log2(n)+1 bits more), "
             f"poly polynomials of more than {POLY_BITS_CAP} bits (n(n-1)/2*n*log2(n)). "
-            "Exit codes: 0 ok, 1 verification mismatch, 2 usage or domain error, 141 stdout closed early."
+            "Exit codes: 0 ok, 1 verification mismatch, 2 usage, domain or write error, 141 stdout closed early."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,18 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", help="comma-separated bases for the method-equivalence check")
     verify.add_argument("--max-n", type=int, help="largest rank for the method-equivalence check")
     verify.add_argument("--oracle", help="lattice comparison grid, e.g. 2:4,3:3 (p:max_n)")
-    verify.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="lattice node budget (default %(default)s)"
-    )
     verify.set_defaults(func=cmd_verify)
 
     oracle = sub.add_parser("oracle", help="brute-force lattice counts for one (p, n)")
     oracle.add_argument("--p", type=int, required=True, help="prime base of the group")
     oracle.add_argument("--n", type=int, required=True, help="rank of the group, >= 0")
     oracle.add_argument("--dump", metavar="PATH", help="write the full lattice (nodes and edges) to a file")
-    oracle.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="lattice node budget (default %(default)s)"
-    )
+    for command in (verify, oracle):
+        command.add_argument(
+            "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="lattice node budget (default %(default)s)"
+        )
     oracle.add_argument("--format", choices=FORMATS, default="text")
     oracle.set_defaults(func=cmd_oracle)
 
@@ -278,24 +280,22 @@ def main(argv: list[str] | None = None) -> int:
     # output must be exact decimal, never truncated.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # A bad request or a failed write (a closed pipe, a full disk). If stdout failed, a second
+        # flush fails too: point it at devnull so the interpreter's exit flush stays quiet.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout. Point it at devnull so the interpreter's
-        # exit flush of what is still buffered stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -80,6 +80,11 @@ def test_count_csv(capsys):
         (["count", "--p", "1", "--n", "0"], ">= 2"),
         (["oracle", "--p", "2", "--n", "2", "--dump", ""], "cannot write the lattice dump"),
         (["verify", "--p", "2", "--max-n", "3", "--budget", "-1"], "the node budget must be >= 0, got -1"),
+        # verify's families refuse in table order: the methods check's flags before the grid's.
+        (["verify", "--p", "2,1", "--max-n", "3", "--oracle", "2:0"], ">= 2"),
+        (["verify", "--p", "2", "--max-n", "30", "--oracle", "2:0"], "cap"),
+        # count's output cap, at a base too wide for it at rank 24 (p = 10^1000 + 1).
+        (["verify", "--p", str(10**1000 + 1), "--max-n", "24"], "n=24 at p=1000"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
@@ -187,6 +192,22 @@ def test_verify_default_run(capsys):
     # the default grid reaches (2,6): 44 formula checks plus 3 per oracle rank
     assert "PASS oracle-rooted p=2 n=6 (4515776)" in checks
     assert tally == "83/83 checks passed"
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "argv,fixture",
+    [
+        (["verify"], "verify_default.out"),
+        (["verify", "--p", "3,7", "--max-n", "14", "--oracle", "3:4"], "verify_p3_7_n14_oracle3_4.out"),
+    ],
+)
+def test_verify_output_is_pinned(argv, fixture, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / fixture).read_text(encoding="utf-8")
 
 
 def test_verify_detects_a_corrupted_build(monkeypatch, capsys):
@@ -313,6 +334,34 @@ def test_closed_stdout_exits_141_without_a_traceback():
         code = proc.wait(timeout=60)
     assert first.startswith(b"p=2 n=0 F=1 ")
     assert (code, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose writes fail with ENOSPC")
+@pytest.mark.parametrize(
+    "args,stdout_to_full,needle",
+    [
+        (["verify", "--oracle", "2:2"], True, "error: "),
+        (["table", "--p", "2", "--max-n", "3"], True, "error: "),
+        (["oracle", "--p", "2", "--n", "3", "--dump", "/dev/full"], False, "error: cannot write the lattice dump: "),
+    ],
+)
+def test_a_failed_write_exits_2_with_one_error_line(args, stdout_to_full, needle):
+    # Exit 1 would read as a verification mismatch; a traceback would be more than one line.
+    # stdout is block-buffered, as from a shell, so the exit flush would fail again if left alone.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(subchains.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "subchains", *args],
+            stdout=full if stdout_to_full else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr.decode().startswith(needle)
+    assert len(done.stderr.splitlines()) == 1
+    assert not done.stdout
 
 
 def test_oracle_dump(tmp_path, capsys):
