@@ -42,17 +42,16 @@ between consecutive ones. Such a product is the q-multinomial [n; alpha]_p
 of the composition alpha = (d_1, d_2 - d_1, ..., n - d_(r-1)) of n, and
 [n; alpha]_p does not depend on the order of alpha's parts (MacMahon), so
 the 2^(n-1) compositions fall into the p(n) partitions of n, each summed as
-one term times its number of orderings. The sum reads no b_k: equal terms
-are grouped by that symmetry, and no common head is factored out of a sum
-of tails, which would be the recurrence again, not a check of it.
+one term times its number of orderings; a depth-first walk of the partition
+tree builds each term from its prefix's by one product. The sum reads no
+b_k: equal terms are grouped by that symmetry, and no common head is
+factored out of a sum of tails, which would be the recurrence again.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
-from itertools import accumulate
-from math import factorial, log2
+from math import inf, log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
@@ -124,27 +123,28 @@ def check_closed_form_rank(n: int) -> None:
     """Refuse ranks above the cap on the closed form (the recurrence has none).
 
     The sum is cheap at the cap (1,575 partitions at n = 24); raising the cap
-    would change which verify requests are refused, a change in behaviour
-    of its own.
+    would change which verify requests are refused.
     """
     if n > CLOSED_FORM_CAP:
         raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
 
 
-def check_count_bits(n: int, p: int) -> None:
-    """Refuse a rank whose predicted n(n-1)/2 * log2(p) bits are over COUNT_BITS_CAP.
+def count_bits(n: int, p: int) -> float:
+    """The predicted bits of b_n at base p, n(n-1)/2 * log2(p), that COUNT_BITS_CAP bounds.
 
-    The cap is on that prediction, not on b_n itself: b_n <= p^(n(n-1)/2) * b_n(1)
-    because its polynomial has non-negative coefficients, and b_n(1) <= n^n,
-    so b_n can have up to n*log2(n) + 1 bits more (the admitted b_447 at p = 2
-    has 100,290). The recurrence does about n^2/4 products of numbers that size,
-    so this bounds its work; the worst admitted request is at p = 2, the most
-    ranks per bit.
+    b_n <= p^(n(n-1)/2) * b_n(1) and b_n(1) <= n^n, so b_n can have n*log2(n) + 1
+    bits more (b_447 at p = 2 has 100,290). The cap bounds the recurrence's n^2/4
+    products of numbers that size, worst at p = 2, the most ranks per bit.
     """
+    pairs = n * (n - 1) // 2
+    return pairs * log2(p) if pairs <= COUNT_BITS_CAP else inf  # a float would overflow at huge n
+
+
+def check_count_bits(n: int, p: int) -> None:
+    """Refuse a rank whose count_bits are over COUNT_BITS_CAP."""
     check_rank(n)
     check_base(p)
-    pairs = n * (n - 1) // 2
-    if pairs > COUNT_BITS_CAP or pairs * log2(p) > COUNT_BITS_CAP:
+    if count_bits(n, p) > COUNT_BITS_CAP:
         raise ValueError(f"n={n} at p={p} exceeds the output cap: b_n would have over {COUNT_BITS_CAP} bits")
 
 
@@ -161,22 +161,15 @@ def check_poly_bits(n: int) -> None:
         raise ValueError(f"n={n} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits")
 
 
-def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into parts >= least, each as its parts in non-decreasing order."""
-    if n == 0:
-        yield ()
-    for part in range(least, n + 1):
-        for rest in _partitions(n - part, part):
-            yield (part, *rest)
-
-
 def bounded_chains_closed_form(n: int, p: int) -> int:
     """Same count as bounded_chains_recurrence, as a sum of q-multinomials over the partitions of n.
 
-    A partition with parts l_1 <= ... <= l_r and multiplicities m_i adds
-    r!/(m_1! m_2! ...) orderings times [n; l]_p = prod_j [s_j l_j]_p, where
-    s_j = l_1 + ... + l_j; the binomials are read from rows 0..n built once.
-    Ranks above the cap are refused (see check_closed_form_rank).
+    A partition l_1 <= ... <= l_r with multiplicities m_i adds r!/(m_1! m_2! ...)
+    orderings times [n; l]_p = prod_j [s_j l_j]_p, s_j = l_1 + ... + l_j. One
+    depth-first walk builds each term a part at a time: appending l as part j
+    multiplies the term by j/m, m the copies of l now held (exact: the ordering
+    count stays whole), and by [s_j l]_p. A part below the remainder R is tried
+    only if 2l <= R, so no prefix is a dead end. Ranks above the cap are refused.
     """
     check_rank(n)
     check_base(p)
@@ -185,13 +178,15 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
     for _ in range(n):
         rows.append(q_pascal_step(rows[-1], p, n))
     total = 0
-    for parts in _partitions(n):
-        term = factorial(len(parts))  # the compositions of n with these parts
-        for part in set(parts):
-            term //= factorial(parts.count(part))
-        for s, part in zip(accumulate(parts), parts):
-            term *= rows[s][part]
-        total += term
+    stack = [(0, 1, 0, 0, 1)]  # a prefix: its sum, last part, copies of it, number of parts, term
+    while stack:
+        s, last, copies, parts, term = stack.pop()
+        if s == n:
+            total += term
+            continue
+        for part in (*range(last, (n - s) // 2 + 1), n - s):
+            m = copies + 1 if part == last else 1
+            stack.append((s + part, part, m, parts + 1, term * (parts + 1) // m * rows[s + part][part]))
     return total
 
 

@@ -124,6 +124,8 @@ def _methods_checks(args: argparse.Namespace):
         raise ValueError(f"--max-n must be >= 0, got {max_n}")
     chains.check_closed_form_rank(max_n)
     chains.check_count_bits(max_n, max(primes))
+    if sum(chains.count_bits(max_n, p) for p in primes) > COUNT_BITS_CAP:
+        raise ValueError(f"n={max_n} at the bases of --p exceeds the output cap: over {COUNT_BITS_CAP} bits in all")
     yield
     for p in primes:
         for n in range(max_n + 1):
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
             f"Limits: verify refuses closed-form ranks above {CLOSED_FORM_CAP}; verify and oracle "
             f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count, table "
             f"and verify refuse counts predicted at more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) "
-            "at the top rank; the count itself can have up to n*log2(n)+1 bits more), "
+            "at the top rank, summed over verify's bases; a count can have up to n*log2(n)+1 bits more), "
             f"poly polynomials of more than {POLY_BITS_CAP} bits (n(n-1)/2*n*log2(n)). "
             "Exit codes: 0 ok, 1 verification mismatch, 2 usage, domain or write error, 141 stdout closed early."
         ),

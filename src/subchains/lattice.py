@@ -28,7 +28,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .chains import DEFAULT_NODE_BUDGET, ChainCounts
-from .qarith import check_rank, galois_number
+from .qarith import check_column, check_rank, galois_number
 
 
 def is_prime(m: int) -> bool:
@@ -147,8 +147,7 @@ def enumerate_subspaces(p: int, n: int, k: int, budget: int = DEFAULT_NODE_BUDGE
     construction. The whole (p, n) lattice must fit the node budget.
     """
     check_size(p, n, budget)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    check_column(n, k)
     out: list[Subspace] = []
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)

@@ -37,6 +37,12 @@ def check_rank(n: int) -> None:
         raise ValueError(f"rank n must be >= 0, got {n}")
 
 
+def check_column(n: int, k: int) -> None:
+    """Refuse a column outside 0..n of row n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+
+
 def q_pascal_step(row: list[int], p: int, width: int) -> list[int]:
     """Row m of [m k]_p, k <= width, from row m-1; any p >= 1 (p = 1 gives Pascal's triangle)."""
     top = min(len(row), width + 1)
@@ -84,8 +90,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     only the columns it needs.
     """
     global _row
-    if not 0 <= k <= n:
-        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    check_column(n, k)
     check_base(p)
     base, m, row = _row
     if base != p or m > n:
@@ -103,8 +108,7 @@ def gaussian_binomial_poly(n: int, k: int) -> IntPolynomial:
     """The q-binomial [n choose k] as a polynomial in the base; its coefficients sum to comb(n, k)."""
     from .polynomial import IntPolynomial
 
-    if not 0 <= k <= n:
-        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    check_column(n, k)
     k = min(k, n - k)
     width = -(-comb(n, k).bit_length() // 8)  # bytes per coefficient
     return IntPolynomial.from_digits(q_pascal_row(n, 1 << 8 * width, k)[-1], width)

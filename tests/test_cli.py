@@ -85,6 +85,8 @@ def test_count_csv(capsys):
         (["verify", "--p", "2", "--max-n", "30", "--oracle", "2:0"], "cap"),
         # count's output cap, at a base too wide for it at rank 24 (p = 10^1000 + 1).
         (["verify", "--p", str(10**1000 + 1), "--max-n", "24"], "n=24 at p=1000"),
+        # the same cap on the bits summed over the bases: one base of 10^109 + 1 is admitted, two are not.
+        (["verify", "--p", f"{10**109 + 1},{10**109 + 1}", "--max-n", "24"], "cap: over 100000 bits in all"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):

@@ -10,8 +10,9 @@ references are plain ascending coefficient tuples with their own addition and
 product, so they share no arithmetic with IntPolynomial. The
 triangle behind the polynomials is also checked against the integer
 recurrence, the engine the polynomials used before it, and the closed form,
-a sum over the partitions of n, against its earlier enumeration of every
-subset of {1, ..., n-1} depth first, kept verbatim. The recurrence,
+one depth-first walk of the partition tree, against its two earlier forms,
+kept verbatim: a loop over the partitions of n as tuples, and before it an
+enumeration of every subset of {1, ..., n-1} depth first. The recurrence,
 which pairs the symmetric columns of each row, is checked against the plain
 sum over every column, and up to rank 120 against two congruences that need
 no second engine.
@@ -20,7 +21,8 @@ no second engine.
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from math import factorial
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -107,6 +109,31 @@ def ref_closed_form(n, p):
         total += term
         for lower in range(1, top):
             stack.append((lower, term * rows[top][lower]))
+    return total
+
+
+def _partitions(n, least=1):
+    """The partitions of n into parts >= least, each as its parts in non-decreasing order."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def ref_partition_sum(n, p):
+    # The closed form as it was next: one loop over the partitions of n as tuples.
+    rows = [[1]]
+    for _ in range(n):
+        rows.append(qarith.q_pascal_step(rows[-1], p, n))
+    total = 0
+    for parts in _partitions(n):
+        term = factorial(len(parts))  # the compositions of n with these parts
+        for part in set(parts):
+            term //= factorial(parts.count(part))
+        for s, part in zip(accumulate(parts), parts):
+            term *= rows[s][part]
+        total += term
     return total
 
 
@@ -202,6 +229,15 @@ def closed_form_point(draw):
 def test_closed_form_matches_depth_first_enumeration(point):
     n, p = point
     assert bounded_chains_closed_form(n, p) == ref_closed_form(n, p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, chains.CLOSED_FORM_CAP), BASES)
+@example(chains.CLOSED_FORM_CAP, 2)
+@example(chains.CLOSED_FORM_CAP, 6)
+@example(chains.CLOSED_FORM_CAP, 10**18 + 9)
+def test_closed_form_matches_partition_loop(n, p):
+    assert bounded_chains_closed_form(n, p) == ref_partition_sum(n, p)
 
 
 @settings(deadline=None)

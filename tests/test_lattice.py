@@ -61,10 +61,13 @@ def test_enumerate_rejects_composite_base():
 
 
 def test_enumerate_rejects_bad_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"k must satisfy 0 <= k <= n, got k=4, n=3"):
         enumerate_subspaces(2, 3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got k=-1, n=3"):
         enumerate_subspaces(2, 3, -1)
+    # the size is checked before the column
+    with pytest.raises(ValueError, match=str(galois_number(10, 2))):
+        enumerate_subspaces(2, 10, 11, budget=1000)
 
 
 def test_budget_refusal_names_the_size():

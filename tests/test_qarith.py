@@ -27,12 +27,19 @@ def test_gaussian_binomial_examples(n, k, p, expected):
 
 
 def test_gaussian_binomial_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    column = r"k must satisfy 0 <= k <= n, got k=4, n=3"
+    with pytest.raises(ValueError, match="got k=-1, n=3"):
         gaussian_binomial(3, -1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=column):
         gaussian_binomial(3, 4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="base p must be >= 2"):
         gaussian_binomial(3, 1, 1)
+    # the column is checked before the base
+    with pytest.raises(ValueError, match=column):
+        gaussian_binomial(3, 4, 1)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=f"got k={k}, n=3"):
+            gaussian_binomial_poly(3, k)
 
 
 def test_symmetry_on_grid():
