@@ -42,9 +42,10 @@ between consecutive ones. Such a product is the q-multinomial [n; alpha]_p
 of the composition alpha = (d_1, d_2 - d_1, ..., n - d_(r-1)) of n, and
 [n; alpha]_p does not depend on the order of alpha's parts (MacMahon), so
 the 2^(n-1) compositions fall into the p(n) partitions of n, each summed as
-one term times its number of orderings; a depth-first walk of the partition
-tree builds each term from its prefix's by one product. The sum reads no
-b_k: equal terms are grouped by that symmetry, and no common head is
+one term times its number of orderings. Every prefix of a partition is a
+partition of its own sum, so one depth-first walk of the partition tree, each
+node adding its term to its sum's total, serves every rank up to n. The sum
+reads no b_k: equal terms are grouped by that symmetry, and no common head is
 factored out of a sum of tails, which would be the recurrence again.
 """
 
@@ -122,8 +123,7 @@ def bounded_chains_recurrence(n: int, p: int) -> int:
 def check_closed_form_rank(n: int) -> None:
     """Refuse ranks above the cap on the closed form (the recurrence has none).
 
-    The sum is cheap at the cap (1,575 partitions at n = 24); raising the cap
-    would change which verify requests are refused.
+    The sum is cheap at the cap (7,338 partitions in one walk); raising it changes which verify requests are refused.
     """
     if n > CLOSED_FORM_CAP:
         raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
@@ -161,15 +161,12 @@ def check_poly_bits(n: int) -> None:
         raise ValueError(f"n={n} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits")
 
 
-def bounded_chains_closed_form(n: int, p: int) -> int:
-    """Same count as bounded_chains_recurrence, as a sum of q-multinomials over the partitions of n.
+def closed_form_counts(n: int, p: int) -> list[int]:
+    """b_0..b_n of bounded_chains_recurrence, summed over partitions in one walk; ranks above the cap are refused.
 
-    A partition l_1 <= ... <= l_r with multiplicities m_i adds r!/(m_1! m_2! ...)
-    orderings times [n; l]_p = prod_j [s_j l_j]_p, s_j = l_1 + ... + l_j. One
-    depth-first walk builds each term a part at a time: appending l as part j
-    multiplies the term by j/m, m the copies of l now held (exact: the ordering
-    count stays whole), and by [s_j l]_p. A part below the remainder R is tried
-    only if 2l <= R, so no prefix is a dead end. Ranks above the cap are refused.
+    A partition l_1 <= ... <= l_r of s, multiplicities m_i, adds r!/(m_1! m_2! ...) orderings times [s; l]_p =
+    prod_j [s_j l_j]_p, s_j = l_1 + ... + l_j, to b_s; every prefix is a partition of its own sum. Appending l as
+    part j multiplies the term by j/m, m the copies of l now held (exact: the count stays whole), and by [s_j l]_p.
     """
     check_rank(n)
     check_base(p)
@@ -177,17 +174,20 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
     rows = [[1]]
     for _ in range(n):
         rows.append(q_pascal_step(rows[-1], p, n))
-    total = 0
+    totals = [0] * (n + 1)
     stack = [(0, 1, 0, 0, 1)]  # a prefix: its sum, last part, copies of it, number of parts, term
     while stack:
         s, last, copies, parts, term = stack.pop()
-        if s == n:
-            total += term
-            continue
-        for part in (*range(last, (n - s) // 2 + 1), n - s):
+        totals[s] += term
+        for part in range(last, n - s + 1):
             m = copies + 1 if part == last else 1
             stack.append((s + part, part, m, parts + 1, term * (parts + 1) // m * rows[s + part][part]))
-    return total
+    return totals
+
+
+def bounded_chains_closed_form(n: int, p: int) -> int:
+    """Same count as bounded_chains_recurrence, by the sum over the partitions of n: closed_form_counts(n, p)[n]."""
+    return closed_form_counts(n, p)[n]
 
 
 def chain_counts(n: int, p: int) -> ChainCounts:

@@ -204,6 +204,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
     [
         (["verify"], "verify_default.out"),
         (["verify", "--p", "3,7", "--max-n", "14", "--oracle", "3:4"], "verify_p3_7_n14_oracle3_4.out"),
+        (["verify", "--p", "2,13", "--max-n", "24"], "verify_p2_13_n24.out"),
     ],
 )
 def test_verify_output_is_pinned(argv, fixture, capsys):
@@ -213,14 +214,18 @@ def test_verify_output_is_pinned(argv, fixture, capsys):
 
 
 def test_verify_detects_a_corrupted_build(monkeypatch, capsys):
-    true_closed_form = chains.bounded_chains_closed_form
+    true_closed_form = chains.closed_form_counts
+    calls = []
 
     def corrupted(n, p):
-        value = true_closed_form(n, p)
-        return value + 1 if n == 3 else value
+        calls.append((n, p))
+        counts = true_closed_form(n, p)
+        counts[3] += 1
+        return counts
 
-    monkeypatch.setattr(chains, "bounded_chains_closed_form", corrupted)
+    monkeypatch.setattr(chains, "closed_form_counts", corrupted)
     code, out, _ = run_cli(["verify", "--p", "2", "--max-n", "4"], capsys)
+    assert calls == [(4, 2)]  # one walk serves every rank of a base
     assert code == 1
     bad = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(bad) == 1

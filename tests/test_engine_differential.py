@@ -12,10 +12,11 @@ triangle behind the polynomials is also checked against the integer
 recurrence, the engine the polynomials used before it, and the closed form,
 one depth-first walk of the partition tree, against its two earlier forms,
 kept verbatim: a loop over the partitions of n as tuples, and before it an
-enumeration of every subset of {1, ..., n-1} depth first. The recurrence,
-which pairs the symmetric columns of each row, is checked against the plain
-sum over every column, and up to rank 120 against two congruences that need
-no second engine.
+enumeration of every subset of {1, ..., n-1} depth first. The one walk gives
+every rank up to n, each checked against that loop at its own rank. The
+recurrence, which pairs the symmetric columns of each row, is checked against
+the plain sum over every column, and up to rank 120 against two congruences
+that need no second engine.
 """
 
 import sys
@@ -31,6 +32,7 @@ from subchains.chains import (
     bounded_chains_closed_form,
     bounded_chains_poly,
     bounded_chains_recurrence,
+    closed_form_counts,
     rooted_chains_poly,
 )
 from subchains.polynomial import IntPolynomial
@@ -237,7 +239,10 @@ def test_closed_form_matches_depth_first_enumeration(point):
 @example(chains.CLOSED_FORM_CAP, 6)
 @example(chains.CLOSED_FORM_CAP, 10**18 + 9)
 def test_closed_form_matches_partition_loop(n, p):
-    assert bounded_chains_closed_form(n, p) == ref_partition_sum(n, p)
+    # One walk gives every rank up to n: each must match the loop run for that rank alone.
+    counts = closed_form_counts(n, p)
+    assert counts == [ref_partition_sum(k, p) for k in range(n + 1)]
+    assert bounded_chains_closed_form(n, p) == counts[n]
 
 
 @settings(deadline=None)
