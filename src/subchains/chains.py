@@ -52,7 +52,7 @@ factored out of a sum of tails, which would be the recurrence again.
 from __future__ import annotations
 
 import threading
-from math import inf, log2
+from math import log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
@@ -61,14 +61,20 @@ from .qarith import check_base, check_rank, gaussian_binomial, q_pascal_step
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
 
-# Every limit a CLI request is checked against before any work: the rank of
-# the closed form, the default node budget of the lattice oracle
-# (lattice.check_size), and the predicted bits of a count (count, table) or
-# of a polynomial (poly); see the check_* functions below.
+# Every limit a CLI request is checked against before any work, each with one
+# check_* function here: the rank of the closed form, the lattice oracle's node
+# budget (its default; lattice.check_size applies it), and the predicted bits of
+# the counts at all bases of a request (count, table, verify) or of a polynomial (poly).
 CLOSED_FORM_CAP = 24
 DEFAULT_NODE_BUDGET = 100_000
 COUNT_BITS_CAP = 100_000
 POLY_BITS_CAP = 1 << 24
+
+
+def check_budget(budget: int) -> None:
+    """Refuse a negative node budget."""
+    if budget < 0:
+        raise ValueError(f"the node budget must be >= 0, got {budget}")
 
 
 class ChainCounts(NamedTuple):
@@ -129,23 +135,19 @@ def check_closed_form_rank(n: int) -> None:
         raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
 
 
-def count_bits(n: int, p: int) -> float:
-    """The predicted bits of b_n at base p, n(n-1)/2 * log2(p), that COUNT_BITS_CAP bounds.
+def check_count_bits(n: int, *bases: int) -> None:
+    """Refuse a rank whose b_n, predicted at n(n-1)/2 * log2(p) bits and summed over the bases, is over COUNT_BITS_CAP.
 
     b_n <= p^(n(n-1)/2) * b_n(1) and b_n(1) <= n^n, so b_n can have n*log2(n) + 1
     bits more (b_447 at p = 2 has 100,290). The cap bounds the recurrence's n^2/4
     products of numbers that size, worst at p = 2, the most ranks per bit.
     """
-    pairs = n * (n - 1) // 2
-    return pairs * log2(p) if pairs <= COUNT_BITS_CAP else inf  # a float would overflow at huge n
-
-
-def check_count_bits(n: int, p: int) -> None:
-    """Refuse a rank whose count_bits are over COUNT_BITS_CAP."""
     check_rank(n)
-    check_base(p)
-    if count_bits(n, p) > COUNT_BITS_CAP:
-        raise ValueError(f"n={n} at p={p} exceeds the output cap: b_n would have over {COUNT_BITS_CAP} bits")
+    check_base(min(bases))
+    pairs = n * (n - 1) // 2  # over the cap on its own (log2(p) >= 1), so no float overflows at huge n
+    if pairs > COUNT_BITS_CAP or sum(pairs * log2(p) for p in bases) > COUNT_BITS_CAP:
+        shown = ",".join(map(str, bases))
+        raise ValueError(f"n={n} at p={shown} exceeds the output cap: over {COUNT_BITS_CAP} bits in all")
 
 
 def check_poly_bits(n: int) -> None:

@@ -119,18 +119,15 @@ def _compare(got, want, shown: str, labels=("lattice", "formula")) -> tuple[bool
 def _methods_checks(args: argparse.Namespace):
     primes = [p for (p,) in _parse_entries("--p", DEFAULT_VERIFY_PRIMES if args.p is None else args.p, "p")]
     max_n = DEFAULT_VERIFY_MAX_N if args.max_n is None else args.max_n
-    qarith.check_base(min(primes))
     if max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {max_n}")
     chains.check_closed_form_rank(max_n)
-    chains.check_count_bits(max_n, max(primes))
-    if sum(chains.count_bits(max_n, p) for p in primes) > COUNT_BITS_CAP:
-        raise ValueError(f"n={max_n} at the bases of --p exceeds the output cap: over {COUNT_BITS_CAP} bits in all")
+    chains.check_count_bits(max_n, *primes)
     yield
     for p in primes:
         for n, b in enumerate(chains.closed_form_counts(max_n, p)):
-            a = chains.bounded_chains_recurrence(n, p)
-            yield "methods-agree", p, n, *_compare(a, b, f"{2 * a if n else 1} rooted", ("recurrence", "closed_form"))
+            a, shown = chains.bounded_chains_recurrence(n, p), f"{chains.chain_counts(n, p).rooted} rooted"
+            yield "methods-agree", p, n, *_compare(a, b, shown, ("recurrence", "closed_form"))
 
 
 def _oracle_checks(args: argparse.Namespace):
@@ -150,7 +147,7 @@ def _oracle_checks(args: argparse.Namespace):
             census = tuple(qarith.q_pascal_row(n, p, n))
             yield "oracle-subspace-counts", p, n, *_compare(oracle.subgroups_by_dim, census, ",".join(map(str, census)))
             F, D, C = oracle.counts
-            yield "oracle-identities", p, n, D == F - 1 and C == 2 * F - 1, f"F={F} D={D} C={C}"
+            yield "oracle-identities", p, n, oracle.counts == chains.ChainCounts.from_rooted(F), f"F={F} D={D} C={C}"
 
 
 # verify's check families, keyed by the flags that select them; with no flag
@@ -162,9 +159,7 @@ VERIFY_FAMILIES = {("p", "max_n"): _methods_checks, ("oracle",): _oracle_checks}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import lattice
-
-    lattice.check_budget(args.budget)
+    chains.check_budget(args.budget)
     chosen = [family for flags, family in VERIFY_FAMILIES.items() if any(getattr(args, f) is not None for f in flags)]
     families = [family(args) for family in chosen or VERIFY_FAMILIES.values()]
     for checks in families:

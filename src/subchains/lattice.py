@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .chains import DEFAULT_NODE_BUDGET, ChainCounts
+from .chains import DEFAULT_NODE_BUDGET, ChainCounts, check_budget
 from .qarith import check_column, check_rank, galois_number
 
 
@@ -48,12 +48,6 @@ def is_prime(m: int) -> bool:
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-
-
-def check_budget(budget: int) -> None:
-    """Refuse a negative node budget."""
-    if budget < 0:
-        raise ValueError(f"the node budget must be >= 0, got {budget}")
 
 
 def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:

@@ -94,6 +94,12 @@ def test_output_caps():
     chains.check_poly_bits(0)
     with pytest.raises(ValueError, match=">= 2"):
         chains.check_count_bits(0, 1)
+    # Over several bases the bits add up: one base of 10^109 + 1 fits at rank 24, with a second or with 2 beside it not.
+    wide = 10**109 + 1
+    chains.check_count_bits(24, wide)
+    for bases in ((wide, wide), (wide, 2)):
+        with pytest.raises(ValueError, match=f"over {COUNT_BITS_CAP} bits in all"):
+            chains.check_count_bits(24, *bases)
 
 
 def test_bounded_poly_examples():

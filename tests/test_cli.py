@@ -288,6 +288,22 @@ def test_verify_reports_broken_chain_identities(monkeypatch, capsys):
     )
 
 
+def test_verify_checks_the_identities_count_prints(monkeypatch, capsys):
+    # count's D and C come from ChainCounts.from_rooted; the oracle's tallies must equal its output.
+    monkeypatch.setattr(
+        chains.ChainCounts, "from_rooted", classmethod(lambda cls, rooted: cls(rooted, rooted - 1, 2 * rooted))
+    )
+    assert run_corrupted_oracle_grid(capsys) == (
+        1,
+        [
+            "FAIL oracle-identities p=2 n=1 (F=2 D=1 C=3)",
+            "FAIL oracle-identities p=2 n=2 (F=8 D=7 C=15)",
+            "FAIL oracle-identities p=2 n=3 (F=72 D=71 C=143)",
+        ],
+        "6/9 checks passed",
+    )
+
+
 def test_oracle_text(capsys):
     code, out, _ = run_cli(["oracle", "--p", "2", "--n", "3"], capsys)
     assert code == 0
@@ -412,7 +428,7 @@ def test_oracle_budget_flag(capsys):
     assert "67" in err  # the refusal names the lattice size
 
 
-def test_budget_env_override(monkeypatch, capsys):
+def test_budget_flag_is_the_only_override(monkeypatch, capsys):
     # --budget is the one override of the default; a leftover
     # SUBCHAINS_ORACLE_BUDGET, valid or not, changes nothing
     for leftover in (None, "5", "4", "lots"):
@@ -473,6 +489,7 @@ START_UP_LOADS = [
     (["poly", "--n", "4", "--format", "json"], {"subchains.polynomial", "json"}),
     (["oracle", "--p", "2", "--n", "3", "--format", "json"], {"subchains.lattice", "json"}),
     (["verify", "--p", "2", "--max-n", "3", "--oracle", "2:2"], {"subchains.lattice"}),
+    (["verify", "--p", "2", "--max-n", "3"], set()),
 ]
 
 
