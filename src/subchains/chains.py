@@ -56,7 +56,7 @@ from math import log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
-from .qarith import check_base, check_rank, gaussian_binomial, q_pascal_step
+from .qarith import brief, check_base, check_rank, gaussian_binomial, q_pascal_step
 
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
@@ -74,7 +74,7 @@ POLY_BITS_CAP = 1 << 24
 def check_budget(budget: int) -> None:
     """Refuse a negative node budget."""
     if budget < 0:
-        raise ValueError(f"the node budget must be >= 0, got {budget}")
+        raise ValueError(f"the node budget must be >= 0, got {brief(budget)}")
 
 
 class ChainCounts(NamedTuple):
@@ -132,7 +132,7 @@ def check_closed_form_rank(n: int) -> None:
     The sum is cheap at the cap (7,338 partitions in one walk); raising it changes which verify requests are refused.
     """
     if n > CLOSED_FORM_CAP:
-        raise ValueError(f"n={n} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
+        raise ValueError(f"n={brief(n)} exceeds the closed-form enumeration cap of {CLOSED_FORM_CAP}")
 
 
 def check_count_bits(n: int, *bases: int) -> None:
@@ -146,8 +146,10 @@ def check_count_bits(n: int, *bases: int) -> None:
     check_base(min(bases))
     pairs = n * (n - 1) // 2  # over the cap on its own (log2(p) >= 1), so no float overflows at huge n
     if pairs > COUNT_BITS_CAP or sum(pairs * log2(p) for p in bases) > COUNT_BITS_CAP:
-        shown = ",".join(map(str, bases))
-        raise ValueError(f"n={n} at p={shown} exceeds the output cap: over {COUNT_BITS_CAP} bits in all")
+        shown = ",".join(map(brief, bases))
+        if len(shown) > 40:
+            shown = f"{brief(bases[0])} and {len(bases) - 1} more"
+        raise ValueError(f"n={brief(n)} at p={shown} exceeds the output cap: over {COUNT_BITS_CAP} bits in all")
 
 
 def check_poly_bits(n: int) -> None:
@@ -160,7 +162,9 @@ def check_poly_bits(n: int) -> None:
     check_rank(n)
     pairs = n * (n - 1) // 2
     if pairs > POLY_BITS_CAP or pairs * n * log2(max(n, 1)) > POLY_BITS_CAP:
-        raise ValueError(f"n={n} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits")
+        raise ValueError(
+            f"n={brief(n)} exceeds the poly output cap: the polynomial would have over {POLY_BITS_CAP} bits"
+        )
 
 
 def closed_form_counts(n: int, p: int) -> list[int]:

@@ -17,6 +17,7 @@ from time import perf_counter
 
 from . import chains, qarith
 from .chains import CLOSED_FORM_CAP, COUNT_BITS_CAP, DEFAULT_NODE_BUDGET, POLY_BITS_CAP
+from .qarith import brief
 
 RECORD_KEYS = ("p", "n", "F", "D", "C", "method", "elapsed_ms")
 FORMATS = ("text", "json", "csv")
@@ -88,8 +89,6 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     chains.check_count_bits(args.max_n, args.p)
     # A generator, so each record is printed before the next rank is computed.
     _print_records((_counts_record(args.p, n) for n in range(args.max_n + 1)), args.format)
@@ -106,7 +105,7 @@ def _parse_entries(flag: str, text: str, form: str) -> list[tuple[int, ...]]:
         except ValueError:
             entry = ()
         if len(entry) != form.count(":") + 1:
-            raise ValueError(f"{flag} expects comma-separated entries of the form {form}, got {token!r}")
+            raise ValueError(f"{flag} expects comma-separated entries of the form {form}, got {brief(repr(token))}")
         entries.append(entry)
     return entries
 
@@ -119,8 +118,6 @@ def _compare(got, want, shown: str, labels=("lattice", "formula")) -> tuple[bool
 def _methods_checks(args: argparse.Namespace):
     primes = [p for (p,) in _parse_entries("--p", DEFAULT_VERIFY_PRIMES if args.p is None else args.p, "p")]
     max_n = DEFAULT_VERIFY_MAX_N if args.max_n is None else args.max_n
-    if max_n < 0:
-        raise ValueError(f"--max-n must be >= 0, got {max_n}")
     chains.check_closed_form_rank(max_n)
     chains.check_count_bits(max_n, *primes)
     yield
@@ -136,7 +133,7 @@ def _oracle_checks(args: argparse.Namespace):
     grid = _parse_entries("--oracle", DEFAULT_VERIFY_GRID if args.oracle is None else args.oracle, "p:max_n")
     for p, n_hi in grid:
         if n_hi < 1:
-            raise ValueError(f"--oracle entry {p}:{n_hi} checks no rank; max_n must be >= 1")
+            raise ValueError(f"--oracle entry {brief(p)}:{brief(n_hi)} checks no rank; max_n must be >= 1")
         lattice.check_size(p, n_hi, args.budget)
     yield
     for p, n_hi in grid:

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .chains import DEFAULT_NODE_BUDGET, ChainCounts, check_budget
-from .qarith import check_column, check_rank, galois_number
+from .qarith import brief, check_column, check_rank, galois_number
 
 
 def is_prime(m: int) -> bool:
@@ -47,7 +47,7 @@ def is_prime(m: int) -> bool:
 
 def _check_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {brief(p)}")
 
 
 def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
@@ -63,13 +63,20 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
     check_budget(budget)
     check_rank(n)
     if n > budget.bit_length():
-        raise ValueError(f"a rank-{n} subspace lattice has at least 2^{n} nodes, over the budget of {budget}")
+        shown = brief(n)
+        raise ValueError(
+            f"a rank-{shown} subspace lattice has at least 2^{shown} nodes, over the budget of {brief(budget)}"
+        )
     if p > budget:
-        raise ValueError(f"p={p} is over the node budget of {budget}; F_p^n has more than p subspaces once n >= 2")
+        raise ValueError(
+            f"p={brief(p)} is over the node budget of {brief(budget)}; F_p^n has more than p subspaces once n >= 2"
+        )
     _check_prime(p)
     nodes = galois_number(n, p)
     if nodes > budget:
-        raise ValueError(f"the subspace lattice of F_{p}^{n} has {nodes} nodes, over the budget of {budget}")
+        raise ValueError(
+            f"the subspace lattice of F_{p}^{n} has {brief(nodes)} nodes, over the budget of {brief(budget)}"
+        )
 
 
 class Subspace(NamedTuple):
@@ -97,7 +104,7 @@ class Subspace(NamedTuple):
         rows = [[int(e) % p for e in v] for v in vectors]
         for row in rows:
             if len(row) != n:
-                raise ValueError(f"vector length {len(row)} does not match ambient dimension {n}")
+                raise ValueError(f"vector length {len(row)} does not match ambient dimension {brief(n)}")
         rank = 0
         for col in range(n):
             pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)

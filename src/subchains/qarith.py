@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, log10
 from operator import add, mul
 from typing import TYPE_CHECKING
 
@@ -25,22 +25,40 @@ if TYPE_CHECKING:
     from .polynomial import IntPolynomial
 
 
+def brief(value: int | str) -> str:
+    """`value` as a refusal shows it: whole up to 40 characters, else its first 12 and last 4 and its length.
+
+    An integer is cut by arithmetic, never converted to a string in full, so a
+    library caller under the interpreter's int-to-str digit limit still gets the refusal.
+    """
+    if isinstance(value, str):
+        return value if len(value) <= 40 else f"{value[:12]}...{value[-4:]} ({len(value)} characters)"
+    size = abs(value)
+    digits = int((size.bit_length() - 1) * log10(2))  # at most the digit count
+    while 10**digits <= size:
+        digits += 1
+    sign = "-" if value < 0 else ""
+    if len(sign) + digits <= 40:
+        return str(value)
+    return f"{sign}{size // 10 ** (digits - 12)}...{size % 10**4:04d} ({digits} digits)"
+
+
 def check_base(p: int) -> None:
     """Refuse a base below 2."""
     if p < 2:
-        raise ValueError(f"base p must be >= 2, got {p}")
+        raise ValueError(f"base p must be >= 2, got {brief(p)}")
 
 
 def check_rank(n: int) -> None:
     """Refuse a negative rank."""
     if n < 0:
-        raise ValueError(f"rank n must be >= 0, got {n}")
+        raise ValueError(f"rank n must be >= 0, got {brief(n)}")
 
 
 def check_column(n: int, k: int) -> None:
     """Refuse a column outside 0..n of row n."""
     if not 0 <= k <= n:
-        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"k must satisfy 0 <= k <= n, got k={brief(k)}, n={brief(n)}")
 
 
 def q_pascal_step(row: list[int], p: int, width: int) -> list[int]:

@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -100,6 +103,28 @@ def test_output_caps():
     for bases in ((wide, wide), (wide, 2)):
         with pytest.raises(ValueError, match=f"over {COUNT_BITS_CAP} bits in all"):
             chains.check_count_bits(24, *bases)
+
+
+def test_refusals_show_wide_values_under_the_default_digit_limit():
+    # A fresh interpreter keeps the int-to-str digit limit (4,300 digits on 3.10.7+) that the CLI lifts,
+    # as a library caller does: each check must still raise its own refusal, not the limit's error.
+    src = Path(chains.__file__).resolve().parents[1]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from subchains import chains\n"
+        "wide = 10**5000\n"
+        "for check in (lambda: chains.check_count_bits(24, wide), lambda: chains.check_closed_form_rank(wide)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    command = [sys.executable, "-I", "-S", "-c", probe, str(src)]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "n=24 at p=100000000000...0000 (5001 digits) exceeds the output cap: over 100000 bits in all",
+        "n=100000000000...0000 (5001 digits) exceeds the closed-form enumeration cap of 24",
+    ]
 
 
 def test_bounded_poly_examples():

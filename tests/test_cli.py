@@ -17,6 +17,11 @@ from subchains.cli import RECORD_KEYS, build_parser, main
 from subchains.lattice import DEFAULT_NODE_BUDGET
 
 
+# Built as text: str(10**5000) would meet the interpreter's int-to-str digit limit.
+WIDE = "1" + "0" * 5000
+WIDE_SHOWN = "100000000000...0000 (5001 digits)"
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -61,11 +66,11 @@ def test_count_csv(capsys):
         (["count", "--p", "1", "--n", "3"], ">= 2"),
         (["count", "--p", "2", "--n", "-1"], ">= 0"),
         (["verify", "--p", "3", "--max-n", "25"], "cap"),
-        (["table", "--p", "2", "--max-n", "-2"], ">= 0"),
+        (["table", "--p", "2", "--max-n", "-2"], "rank n must be >= 0, got -2"),
         (["oracle", "--p", "4", "--n", "2"], "prime"),
         (["verify", "--p", "2", "--max-n", "4", "--oracle", "nonsense"], "p:max_n"),
         (["verify", "--p", "2,1", "--max-n", "3"], ">= 2"),
-        (["verify", "--max-n", "-1"], ">= 0"),
+        (["verify", "--max-n", "-1"], "rank n must be >= 0, got -1"),
         (["oracle", "--p", "2", "--n", "1600"], "2^1600"),
         (["oracle", "--p", "100000000000031", "--n", "1"], "budget"),
         (["verify", "--oracle", "2:0"], "entry 2:0"),
@@ -87,6 +92,17 @@ def test_count_csv(capsys):
         (["verify", "--p", str(10**1000 + 1), "--max-n", "24"], "n=24 at p=1000"),
         # the same cap on the bits summed over the bases: one base of 10^109 + 1 is admitted, two are not.
         (["verify", "--p", f"{10**109 + 1},{10**109 + 1}", "--max-n", "24"], "cap: over 100000 bits in all"),
+        # A 5,001-digit value (10^5000) is shown by its first 12 and last 4 digits and its length.
+        (["count", "--p", "2", "--n", WIDE], f"n={WIDE_SHOWN} at p=2 exceeds the output cap"),
+        (["count", "--p", WIDE, "--n", "24"], f"n=24 at p={WIDE_SHOWN} exceeds the output cap"),
+        (["count", "--p", "2", "--n", f"-{WIDE}"], f"rank n must be >= 0, got -{WIDE_SHOWN}"),
+        (["poly", "--n", WIDE], f"n={WIDE_SHOWN} exceeds the poly output cap"),
+        (["table", "--p", "2", "--max-n", WIDE], f"n={WIDE_SHOWN} at p=2 exceeds the output cap"),
+        (["verify", "--max-n", WIDE], f"n={WIDE_SHOWN} exceeds the closed-form enumeration cap"),
+        (["verify", "--p", f"{WIDE},{WIDE}", "--max-n", "24"], f"n=24 at p={WIDE_SHOWN} and 1 more exceeds"),
+        (["oracle", "--p", WIDE, "--n", "2"], f"p={WIDE_SHOWN} is over the node budget"),
+        (["verify", "--oracle", WIDE], "p:max_n, got '10000000000...000' (5003 characters)"),
+        (["verify", "--oracle", f"2:-{WIDE}"], f"entry 2:-{WIDE_SHOWN} checks no rank"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
@@ -95,6 +111,7 @@ def test_domain_errors_exit_2(argv, needle, capsys):
     assert needle in err
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+    assert len(err.encode()) <= 200
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subchains.polynomial import ONE, IntPolynomial
-from subchains.qarith import galois_number, gaussian_binomial, gaussian_binomial_poly
+from subchains.qarith import brief, galois_number, gaussian_binomial, gaussian_binomial_poly
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -109,6 +109,35 @@ def test_galois_number_small_values():
     assert galois_number(3, 3) == 28
     with pytest.raises(ValueError, match="rank n must be >= 0, got -1"):
         galois_number(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        (0, "0"),
+        (-7, "-7"),
+        (10**39, "1" + "0" * 39),
+        (-(10**38), "-1" + "0" * 38),
+        (10**40 - 1, "9" * 40),
+        (-(10**40 - 1), "-999999999999...9999 (40 digits)"),
+        (10**40, "100000000000...0000 (41 digits)"),
+        (10**1000 + 1, "100000000000...0001 (1001 digits)"),
+        (-(10**2000), "-100000000000...0000 (2001 digits)"),
+        ("'2:2'", "'2:2'"),
+        ("x" * 40, "x" * 40),
+        ("'" + "1" * 5001 + "'", "'11111111111...111' (5003 characters)"),
+    ],
+)
+def test_brief_keeps_values_up_to_40_characters_whole(value, shown):
+    assert brief(value) == shown
+
+
+@given(st.integers(1, 3000), st.sampled_from([-1, 0, 1]))
+def test_brief_counts_digits_at_every_power_of_ten(k, offset):
+    # 10^k - 1, 10^k and 10^k + 1 are where a digit count from bit_length goes wrong.
+    value = 10**k + offset
+    text = str(value)
+    assert brief(value) == (text if len(text) <= 40 else f"{text[:12]}...{text[-4:]} ({len(text)} digits)")
 
 
 @st.composite
