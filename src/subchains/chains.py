@@ -198,9 +198,8 @@ def bounded_chains_closed_form(n: int, p: int) -> int:
 
 def chain_counts(n: int, p: int) -> ChainCounts:
     """All three chain tallies for Z_p^n, from the recurrence."""
-    check_base(p)  # also at rank 0, which the recurrence never reaches
-    rooted = 1 if n == 0 else 2 * bounded_chains_recurrence(n, p)
-    return ChainCounts.from_rooted(rooted)
+    b = bounded_chains_recurrence(n, p)
+    return ChainCounts.from_rooted(b if n == 0 else 2 * b)
 
 
 def _triangle(n: int, shift: int, sign: int = 1) -> int:
@@ -260,12 +259,8 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
     For n >= 1 this has degree n(n-1)/2, leading coefficient 2, and constant
     term 2^n; the n = 0 count is the constant 1.
     """
-    from .polynomial import ONE
-
-    check_rank(n)
-    if n == 0:
-        return ONE
-    return 2 * bounded_chains_poly(n)
+    b = bounded_chains_poly(n)
+    return b if n == 0 else 2 * b
 
 
 def clear_caches() -> None:

@@ -198,8 +198,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are main's one `error:` line, each word over 40 characters shown by brief."""
+
+    def error(self, message: str):
+        raise ValueError(" ".join(map(brief, message.split())))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subchains",
         description=(
             "Exact counts of chains of subgroups of the elementary abelian group Z_p^n: "
@@ -275,12 +282,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # --help, after printing its text
+        return exc.code
     except (ValueError, OSError) as exc:
         # A bad request or a failed write (a closed pipe, a full disk). If stdout failed, a second
         # flush fails too: point it at devnull so the interpreter's exit flush stays quiet.

@@ -67,9 +67,13 @@ def test_domain_violations():
         bounded_chains_recurrence(-1, 2)
     with pytest.raises(ValueError):
         bounded_chains_closed_form(3, 0)
-    for p in (1, -5):  # rank 0 needs no recurrence step, but its base is still checked
+    for p in (1, -5):  # the recurrence answers rank 0 too, so it checks the base there
         with pytest.raises(ValueError, match=f"base p must be >= 2, got {p}"):
             chain_counts(0, p)
+    with pytest.raises(ValueError, match="rank n must be >= 0"):  # the rank before the base
+        chain_counts(-1, 1)
+    with pytest.raises(ValueError, match="rank n must be >= 0"):
+        rooted_chains_poly(-1)
 
 
 def test_closed_form_cap():

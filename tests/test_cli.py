@@ -103,6 +103,15 @@ def test_count_csv(capsys):
         (["oracle", "--p", WIDE, "--n", "2"], f"p={WIDE_SHOWN} is over the node budget"),
         (["verify", "--oracle", WIDE], "p:max_n, got '10000000000...000' (5003 characters)"),
         (["verify", "--oracle", f"2:-{WIDE}"], f"entry 2:-{WIDE_SHOWN} checks no rank"),
+        # What the parser cannot read is refused the same way, a word over 40 characters shown by brief.
+        (["count", "--p", "x", "--n", "2"], "argument --p: invalid int value: 'x'"),
+        (["count", "--p", "x" * 5000, "--n", "2"], "invalid int value: 'xxxxxxxxxxx...xxx' (5002 characters)"),
+        (["count", "--p", "2", "--n", "2", "--format", "x" * 5000], "invalid choice: 'xxxxxxxxxxx...xxx' (5002"),
+        (["count", "--p", "2", "--n", "3", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["count", "--p", "2", "--n", "2", "x" * 5000], "unrecognized arguments: xxxxxxxxxxxx...xxxx (5000 characters)"),
+        (["count", "--p", "2"], "the following arguments are required: --n"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
