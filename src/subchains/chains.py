@@ -14,27 +14,34 @@ elementary abelian of smaller rank, giving the recurrence
 
     b_0 = 1,    b_n = sum_{k=0}^{n-1} [n k]_p * b_k.
 
-Integer counts evaluate it directly, extending b_0..b_m a rank at a time.
-The symmetry [m k] = [m m-k] pairs the terms of ranks k and m-k,
-
-    b_m = 1 + sum_{0 < k < m/2} [m k] (b_k + b_{m-k})  (+ [m m/2] b_{m/2} if m is even),
-
-so row m is read from qarith.gaussian_binomial in row order only up to column
-m/2: about n^2/4 products in all.
-
-Polynomials come from a product-free triangle instead of that binomial sum.
+Every count comes from a triangle instead of that binomial sum; it multiplies no two counts.
 Let (D b)_k = p^k b_k and (S b)_k = b_{k+1}; then S D = p D S, and the
 q-binomial theorem for q-commuting operators gives ((D + S)^m b)_0 =
 sum_k [m k] b_k = 2 b_m for m >= 1. In T[0] = b, T[j] = (D + S) T[j-1], that
 is T[j][i] = p^i T[j-1][i] + T[j-1][i+1], b_m has coefficient 1 in every
 entry of antidiagonal m, so one pass along it with b_m = 0 lands b_m at
-T[m][0]. At p = +-2^K each step is a shift and an addition or a subtraction.
-The polynomial has non-negative coefficients that sum to b_n(1), the ordered
-Bell number (the triangle at p = 1), so each is below 2^(2K) once 2^(2K) >
-b_n(1). Then the half-sum of the values at 2^K and -2^K holds the even
-coefficients as base-2^(2K) digits, and the half-difference over 2^K the odd
-ones, with no carries; each of the two passes holds integers half as wide
-as a single evaluation at 2^(2K) would.
+T[m][0]. One loop, _next_antidiagonal, takes that step at any base: at
+p = +-2^s each term p^e x is a shift, added or subtracted, and at any other
+base a product by a kept power p^e.
+
+Integer counts (count, table, verify, chain_counts) keep antidiagonal m of
+the most recent base and step it a rank at a time. Each new rank is
+certified modulo a word-size prime L by the recurrence itself: the symmetry
+[m k] = [m m-k] pairs the terms of ranks k and m-k,
+
+    b_m = 1 + sum_{0 < k < m/2} [m k] (b_k + b_{m-k})  (+ [m m/2] b_{m/2} if m is even),
+
+and each [m k] is read in row order from qarith.gaussian_binomial, reduced mod
+L and multiplied by residues, so the check makes no big product. A rank whose
+triangle value differs mod L raises CertificateError.
+
+Polynomials run the same triangle at p = 1 and p = +-2^K. The polynomial has
+non-negative coefficients that sum to b_n(1), the ordered Bell number (the
+triangle at p = 1), so each is below 2^(2K) once 2^(2K) > b_n(1). Then the
+half-sum of the values at 2^K and -2^K holds the even coefficients as
+base-2^(2K) digits, and the half-difference over 2^K the odd ones, with no
+carries; each of the two passes holds integers half as wide as a single
+evaluation at 2^(2K) would.
 
 Unrolling b_n gives a cross-check: a sum, over the chains of dimensions
 0 < d_1 < ... < d_(r-1) < n, of the products of the Gaussian binomials
@@ -56,7 +63,7 @@ from math import log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
-from .qarith import brief, check_base, check_rank, gaussian_binomial, q_pascal_step
+from .qarith import brief, check_base, check_rank, q_pascal_step
 
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
@@ -95,35 +102,112 @@ class ChainCounts(NamedTuple):
         return cls(rooted=rooted, unrooted=rooted - 1, total=2 * rooted - 1)
 
 
-# (p, [b_0..b_m]) for the most recent base only, so memory stays bounded
-# however many bases a process sees; the lock serializes extending it.
-_memo: tuple[int, list[int]] = (0, [1])
+class CertificateError(ArithmeticError):
+    """A rank whose triangle value differs from the recurrence's modulo the certificate's prime."""
+
+
+# Primes below 2^30, so each residue is one CPython digit. A base is certified
+# mod the first of them at which it is neither 0 nor 1: there every power of
+# p is 1 or 0 and the check cannot see an exponent. (A base that is 0 or 1
+# mod all three, none below 2^85, is certified mod the last one.)
+CERTIFICATE_MODULI = (1073741789, 1073741783, 1073741741)
+
+
+def certificate_modulus(p: int) -> int:
+    """The prime of CERTIFICATE_MODULI that certifies the counts at base p."""
+    return next((prime for prime in CERTIFICATE_MODULI if p % prime > 1), CERTIFICATE_MODULI[-1])
+
+
+class _Walk(NamedTuple):
+    """The triangle at base p up to rank m = len(diag) - 1, stepped in place."""
+
+    p: int
+    diag: list[int]  # antidiagonal m: diag[j] = T[j][m-j], so diag[0] = b_m
+    powers: list[int]  # p^0, p^1, ... as far as a step has needed them (only p^0 at p = 2^s)
+    residues: list[int]  # b_0..b_m mod certificate_modulus(p), by the recurrence
+
+
+# The walk of the most recent base only, so memory stays bounded however many
+# bases a process sees; the lock serializes stepping it. p = 0 is never
+# stepped: every base is refused below 2, so the first request replaces it.
+_COLD_WALK = _Walk(0, [1], [1], [1])
+_memo = _COLD_WALK
 _memo_lock = threading.Lock()
+
+
+def _next_antidiagonal(diag: list[int], p: int, powers: list[int]) -> int:
+    """Step diag from antidiagonal m-1 of the triangle at base p to antidiagonal m, in place, and return b_m.
+
+    At p = +-2^s the term p^e x is x << s*e, subtracted when p^e < 0; at any
+    other p it is x * powers[e], and powers is extended to p^(m-1) first.
+    """
+    m = len(diag)
+    shift = abs(p).bit_length() - 1
+    if abs(p) != 1 << shift:
+        shift = None
+        while len(powers) < m:
+            powers.append(powers[-1] * p)
+    odd = 1 if p < 0 else 0  # e & odd is 1 exactly when p^e < 0
+    acc = 0  # T[j][m-j] with b_m = 0, built from antidiagonal m-1 in place
+    for j in range(m):
+        x, diag[j] = diag[j], acc
+        e = m - 1 - j
+        if shift is None:
+            acc += x * powers[e]
+        elif e & odd:
+            acc -= x << shift * e
+        else:
+            acc += x << shift * e
+    diag.append(acc)  # T[m][0] = 2 b_m - b_m
+    for j in range(m + 1):
+        diag[j] += acc
+    return acc
+
+
+def _recurrence_residue(m: int, p: int, residues: list[int], modulus: int) -> int:
+    """b_m mod modulus by the paired binomial sum over b_0..b_(m-1) mod modulus, reading row m in row order."""
+    # [m k] = [m m-k]: one residue serves ranks k and m-k; [m 0] b_0 = 1.
+    total = 1 + sum(
+        qarith.gaussian_binomial(m, k, p) % modulus * (residues[k] + residues[m - k]) for k in range(1, (m + 1) // 2)
+    )
+    if m % 2 == 0:
+        total += qarith.gaussian_binomial(m, m // 2, p) % modulus * residues[m // 2]
+    return total % modulus
 
 
 def bounded_chains_recurrence(n: int, p: int) -> int:
     """Number of chains containing both the trivial subgroup and Z_p^n.
 
-    Each new rank m takes one product per column 0 < k <= m/2 of row m, the
-    product by [m k] serving both b_k and b_{m-k}, so ranks up to n take about
-    n^2/4 products, half the plain sum's n(n+1)/2. The memo keeps one base
-    under one lock, so threads that work on different bases serialize and
-    evict each other's memo.
+    The triangle is stepped from the kept antidiagonal when it is at base p
+    and rank at most n, else from rank 0; either way antidiagonal n is kept.
+    Each new rank m takes m shifts or products by p^e, and is certified mod
+    certificate_modulus(p) by the binomial sum, which raises CertificateError
+    on a mismatch and leaves the engine cold. The memo keeps one base under
+    one lock, so threads that work on different bases serialize and evict
+    each other's memo.
     """
     global _memo
     check_rank(n)
     check_base(p)
     with _memo_lock:
-        if _memo[0] != p:
-            _memo = (p, [1])
-        b = _memo[1]
-        for m in range(len(b), n + 1):
-            # [m k] = [m m-k]: one product serves ranks k and m-k; [m 0] b_0 = 1.
-            total = 1 + sum(gaussian_binomial(m, k, p) * (b[k] + b[m - k]) for k in range(1, (m + 1) // 2))
-            if m % 2 == 0:
-                total += gaussian_binomial(m, m // 2, p) * b[m // 2]
-            b.append(total)
-        return b[n]
+        walk = _memo
+        if walk.p != p or len(walk.diag) > n + 1:
+            walk = _memo = _Walk(p, [1], [1], [1])
+        modulus = certificate_modulus(p)
+        try:
+            for m in range(len(walk.diag), n + 1):
+                b = _next_antidiagonal(walk.diag, p, walk.powers)
+                c = _recurrence_residue(m, p, walk.residues, modulus)
+                if b % modulus != c:
+                    raise CertificateError(
+                        f"certificate failed at rank n={m}, base p={brief(p)}: "
+                        f"the triangle gives {b % modulus} mod {modulus}, the recurrence {c}"
+                    )
+                walk.residues.append(c)
+        except BaseException:
+            _memo = _COLD_WALK  # a walk stopped mid-step is not kept
+            raise
+        return walk.diag[0]
 
 
 def check_closed_form_rank(n: int) -> None:
@@ -139,8 +223,10 @@ def check_count_bits(n: int, *bases: int) -> None:
     """Refuse a rank whose b_n, predicted at n(n-1)/2 * log2(p) bits and summed over the bases, is over COUNT_BITS_CAP.
 
     b_n <= p^(n(n-1)/2) * b_n(1) and b_n(1) <= n^n, so b_n can have n*log2(n) + 1
-    bits more (b_447 at p = 2 has 100,290). The cap bounds the recurrence's n^2/4
-    products of numbers that size, worst at p = 2, the most ranks per bit.
+    bits more (b_447 at p = 2 has 100,290). The cap bounds the triangle's n^2/2
+    steps on numbers that size, each a shift or a product by a power p^e, and the
+    certificate's n^2/4 binomials reduced mod a word-size prime: worst at p = 2,
+    the most ranks per bit. Rendering table's n + 1 records now costs more.
     """
     check_rank(n)
     check_base(min(bases))
@@ -203,24 +289,10 @@ def chain_counts(n: int, p: int) -> ChainCounts:
 
 
 def _triangle(n: int, shift: int, sign: int = 1) -> int:
-    """b_n at p = sign * 2^shift by the antidiagonals of the triangle T: shifts, additions and subtractions only.
-
-    At sign = -1 the terms p^i T[j][i] with an odd i are negative, so they are subtracted.
-    """
-    odd = 1 if sign < 0 else 0  # e & odd is 1 exactly when p^e < 0
-    diag = [1]  # antidiagonal m of T: diag[j] = T[j][m-j]
-    for m in range(1, n + 1):
-        acc = 0  # T[j][m-j] with b_m = 0, built from antidiagonal m-1 in place
-        for j in range(m):
-            x, diag[j] = diag[j], acc
-            e = m - 1 - j
-            if e & odd:
-                acc -= x << shift * e
-            else:
-                acc += x << shift * e
-        diag.append(acc)  # T[m][0] = 2 b_m - b_m
-        for j in range(m + 1):
-            diag[j] += acc
+    """b_n at p = sign * 2^shift by the triangle: every term a shift, added or subtracted (poly's evaluations)."""
+    diag, powers = [1], [1]
+    for _ in range(n):
+        _next_antidiagonal(diag, sign << shift, powers)
     return diag[0]
 
 
@@ -264,8 +336,8 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
 
 
 def clear_caches() -> None:
-    """Leave the engine cold: drop the recurrence memo, then reset qarith (its kept half row and call counters)."""
+    """Leave the engine cold: drop the kept walk, then reset qarith (its kept half row and call counters)."""
     global _memo
     with _memo_lock:
-        _memo = (0, [1])
+        _memo = _COLD_WALK
     qarith.clear_caches()

@@ -1,9 +1,10 @@
 """Command-line front-end: chain counts, polynomial tables, verification runs.
 
 Results go to stdout, diagnostics and errors to stderr. Exit codes: 0 on
-success, 1 when a verification run finds a mismatch, 2 on bad flags, domain
-errors (the message names the violated bound) or a failed write, 141 when
-the reader closes stdout early (the status a shell reports for SIGPIPE).
+success, 1 when a verification run finds a mismatch or a count fails its
+certificate (chains.CertificateError), 2 on bad flags, domain errors (the
+message names the violated bound) or a failed write, 141 when the reader
+closes stdout early (the status a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -199,10 +200,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose refusals are main's one `error:` line, each word over 40 characters shown by brief."""
+    """A parser whose refusals are main's one `error:` line, each word over 40 characters shown by brief.
+
+    A message still over 160 bytes (many short words) keeps its first 140 bytes and states its length.
+    """
 
     def error(self, message: str):
-        raise ValueError(" ".join(map(brief, message.split())))
+        text = " ".join(map(brief, message.split()))
+        if len(text.encode()) > 160:
+            text = f"{text.encode()[:140].decode(errors='ignore')}... ({len(text)} characters)"
+        raise ValueError(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,9 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:  # --help, after printing its text
         return exc.code
-    except (ValueError, OSError) as exc:
-        # A bad request or a failed write (a closed pipe, a full disk). If stdout failed, a second
-        # flush fails too: point it at devnull so the interpreter's exit flush stays quiet.
+    except (ValueError, OSError, chains.CertificateError) as exc:
+        # A bad request, a failed write (a closed pipe, a full disk) or a count that failed its
+        # certificate. If stdout failed, a second flush fails too: point it at devnull so the
+        # interpreter's exit flush stays quiet.
         try:
             sys.stdout.flush()
         except OSError:
@@ -297,4 +305,4 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, BrokenPipeError):
             return 141
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, chains.CertificateError) else 2

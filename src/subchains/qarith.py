@@ -92,7 +92,8 @@ _row = _COLD_ROW
 
 
 # maxsize=0 stores nothing and counts every call as a miss, here and on
-# gaussian_binomial_poly below: the recurrence never asks an entry twice, and
+# gaussian_binomial_poly below: the certificate of the integer counts
+# (chains.bounded_chains_recurrence) reads each entry once, in row order, and
 # no command calls gaussian_binomial_poly. The wrappers stay only because the
 # benchmark's tracer (bench/launcher.py) times both layers through their
 # __wrapped__ and cache_parameters; they can go when the tracer stops needing them.
@@ -103,7 +104,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     Only columns k <= n/2 are built, since [n k] = [n n-k]. The kept half row
     steps up to row n if it is at base p and rank at most n; otherwise the
     walk starts again from row 0. Either way row n's half row is kept. So the
-    recurrence, which asks rows in increasing rank, pays one step per row. For
+    certificate, which asks rows in increasing rank, pays one step per row. For
     one entry out of that order, q_pascal_row(n, p, min(k, n - k))[-1] builds
     only the columns it needs.
     """

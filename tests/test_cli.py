@@ -112,6 +112,9 @@ def test_count_csv(capsys):
         (["count", "--p", "2"], "the following arguments are required: --n"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         ([], "the following arguments are required: command"),
+        # A message of many short words is cut as a whole: 2,500 one-letter words, then 2,500 stray arguments.
+        (["count", "--p", " ".join(["x"] * 2500), "--n", "2"], "invalid int value: 'x x x x x x x x x x"),
+        (["count", "--p", "2", "--n", "2", *["x"] * 2500], "unrecognized arguments: x x x x x x x x x x"),
     ],
 )
 def test_domain_errors_exit_2(argv, needle, capsys):
@@ -121,6 +124,37 @@ def test_domain_errors_exit_2(argv, needle, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert len(err.encode()) <= 200
+
+
+def one_wrong_binomial(monkeypatch, rank):
+    """Make qarith.gaussian_binomial, the certificate's reader, return [rank 1] + 1."""
+    binomial = qarith.gaussian_binomial
+    monkeypatch.setattr(qarith, "gaussian_binomial", lambda n, k, p: binomial(n, k, p) + (n == rank and k == 1))
+
+
+@pytest.mark.parametrize("p,rank", [(2, 31), (7, 2), (10**18 + 9, 12)])
+def test_count_that_fails_its_certificate_exits_1_with_one_line(p, rank, monkeypatch, capsys):
+    chains.clear_caches()
+    one_wrong_binomial(monkeypatch, rank)
+    code, out, err = run_cli(["count", "--p", str(p), "--n", str(rank + 3)], capsys)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: certificate failed at rank n={rank}, base p={qarith.brief(p)}: ")
+    # The failed walk is not kept: with the binomials mended, the next count starts cold and is right.
+    assert chains._memo is chains._COLD_WALK
+    monkeypatch.undo()
+    code, out, err = run_cli(["count", "--p", str(p), "--n", str(rank + 3)], capsys)
+    assert (code, err) == (0, "")
+    assert f" F={chain_counts(rank + 3, p).rooted} " in out
+
+
+def test_table_prints_only_the_ranks_below_a_failed_certificate(monkeypatch, capsys):
+    chains.clear_caches()
+    one_wrong_binomial(monkeypatch, 31)
+    code, out, err = run_cli(["table", "--p", "2", "--max-n", "40"], capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: certificate failed at rank n=31, base p=2: ")
+    assert [re.search(r" n=(\d+) ", line).group(1) for line in out.splitlines()] == [str(n) for n in range(31)]
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -8,15 +8,14 @@ count as a memoized sum over those binomials, and the bounded polynomial as a
 sum of schoolbook products over Pascal-built q-binomials. The polynomial
 references are plain ascending coefficient tuples with their own addition and
 product, so they share no arithmetic with IntPolynomial. The
-triangle behind the polynomials is also checked against the integer
-recurrence, the engine the polynomials used before it, and the closed form,
+triangle behind every count is checked against the binomial sum, the engine
+it replaced, in any order of calls and bases, and the closed form,
 one depth-first walk of the partition tree, against its two earlier forms,
 kept verbatim: a loop over the partitions of n as tuples, and before it an
 enumeration of every subset of {1, ..., n-1} depth first. The one walk gives
 every rank up to n, each checked against that loop at its own rank. The
-recurrence, which pairs the symmetric columns of each row, is checked against
-the plain sum over every column, and up to rank 120 against two congruences
-that need no second engine.
+integer counts are checked against the plain sum over every column of each
+row, and up to rank 120 against two congruences that need no second engine.
 """
 
 import sys
@@ -25,6 +24,7 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 from math import factorial
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subchains import chains, cli, qarith
@@ -379,31 +379,123 @@ def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
     assert qarith._row == (3, 52, [ref_gaussian_binomial(52, k, 3) for k in range(27)])
 
 
-def test_verify_census_leaves_the_kept_row_alone(capsys):
+def test_verify_census_leaves_the_kept_row_alone(capsys, monkeypatch):
     chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
+    reads = []
+    binomial = qarith.gaussian_binomial
+
+    def recorded(n, k, p):
+        reads.append((n, k, p))
+        return binomial(n, k, p)
+
+    monkeypatch.setattr(qarith, "gaussian_binomial", recorded)
     assert cli.main(["verify", "--oracle", "3:4"]) == 0
     capsys.readouterr()
-    assert qarith._row[:2] == (3, 50)
+    # Ranks 1-4 restart the walk below rank 50, and only its certificate reads
+    # the binomial layer, columns 1..m/2 of rows 2-4: the census reads its own rows.
+    assert reads == [(m, k, 3) for m in range(2, 5) for k in range(1, m // 2 + 1)]
+    assert qarith._row[:2] == (3, 4)
 
 
 def test_polynomials_leave_the_integer_engine_alone():
     chains.clear_caches()
     assert bounded_chains_recurrence(30, 3) == ref_bounded(30, 3)
-    row, memo = qarith._row, (chains._memo[0], list(chains._memo[1]))
+    walk = chains._memo
+    row, memo = qarith._row, (walk.p, list(walk.diag), list(walk.powers), list(walk.residues))
     sizes = gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize
     assert bounded_chains_poly(20).evaluate(3) == ref_bounded(20, 3)
     assert qarith._row is row
-    assert chains._memo == memo
+    assert chains._memo is walk and chains._memo == memo
     assert (gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize) == sizes
+
+
+def ref_antidiagonal(m, p):
+    # T[j][i] = ((D + S)^j b)_i = sum_k [j k]_p p^(i k) b_(i+j-k), by the
+    # q-binomial theorem for S D = p D S; entry j of antidiagonal m has i = m - j.
+    return [
+        sum(ref_gaussian_binomial(j, k, p) * p ** ((m - j) * k) * ref_bounded(m - k, p) for k in range(j + 1))
+        for j in range(m + 1)
+    ]
+
+
+def ref_walk(m, p):
+    # The memo after b_m at base p: antidiagonal m, p^0..p^(m-1) (p^0 alone at a
+    # power of two), and b_0..b_m modulo the certificate's prime.
+    modulus = chains.certificate_modulus(p)
+    powers = [1] if p & (p - 1) == 0 else [p**e for e in range(max(m, 1))]
+    return (p, ref_antidiagonal(m, p), powers, [ref_bounded(k, p) % modulus for k in range(m + 1)])
 
 
 def test_memo_keeps_only_the_most_recent_base():
     assert bounded_chains_recurrence(30, 5) == ref_bounded(30, 5)
     assert bounded_chains_recurrence(20, 7) == ref_bounded(20, 7)
-    assert chains._memo == (7, [ref_bounded(m, 7) for m in range(21)])
+    assert chains._memo == ref_walk(20, 7)
     assert bounded_chains_recurrence(31, 5) == ref_bounded(31, 5)
+    assert chains._memo == ref_walk(31, 5)
+    # A rank below the kept one restarts the walk from rank 0.
     assert bounded_chains_recurrence(12, 5) == ref_bounded(12, 5)
+    assert chains._memo == ref_walk(12, 5)
+    assert bounded_chains_recurrence(9, 4) == ref_bounded(9, 4)
+    assert chains._memo == ref_walk(9, 4)
+
+
+# Powers of two (each step a shift), composites, and a base beyond a machine word.
+RECURRENCE_BASES = st.sampled_from([2, 4, 32, 2**64, 6, 9, 10, 12, 35, 1000003 * 3, 10**18 + 9])
+
+
+@st.composite
+def recurrence_calls(draw):
+    # Runs of ranks at one base, each ascending, descending, one rank repeated
+    # or as drawn; then maybe every call shuffled, interleaving the bases.
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(RECURRENCE_BASES)
+        ranks = draw(st.lists(st.integers(0, 80), min_size=1, max_size=5))
+        order = draw(st.sampled_from(["ascending", "descending", "repeated", "drawn"]))
+        if order == "repeated":
+            ranks = ranks[:1] * 3
+        elif order != "drawn":
+            ranks.sort(reverse=order == "descending")
+        calls += [(n, p) for n in ranks]
+    return draw(st.permutations(calls)) if draw(st.booleans()) else calls
+
+
+@settings(deadline=None, max_examples=30)
+@given(recurrence_calls())
+@example([(n, 2) for n in range(81)])
+@example([(80, 10**18 + 9), (79, 10**18 + 9), (80, 10**18 + 9)])
+@example([(40, 6), (41, 4), (42, 6), (10, 6), (10, 6), (43, 4)])
+def test_recurrence_matches_binomial_sums_in_any_call_order(calls):
+    # The memo keeps one base's antidiagonal and restarts below its rank, so
+    # every order must give the binomial sum's value and leave that rank kept.
+    for n, p in calls:
+        assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
+        assert (chains._memo.p, len(chains._memo.diag)) == (p, n + 1)
+
+
+@pytest.mark.parametrize("p", [chains.CERTIFICATE_MODULI[0], chains.CERTIFICATE_MODULI[0] + 1])
+def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatch):
+    # There every power of p is 0 or 1 mod the first prime, so the certificate
+    # takes the next prime of the list, and sees a triangle off by a multiple of the first.
+    modulus = chains.certificate_modulus(p)
+    assert modulus in chains.CERTIFICATE_MODULI[1:] and p % modulus > 1
+    chains.clear_caches()
+    assert bounded_chains_recurrence(20, p) == ref_bounded(20, p)
+    step = chains._next_antidiagonal
+
+    def off_at_rank_9(diag, q, powers):
+        b = step(diag, q, powers)
+        if len(diag) == 10:
+            diag[0] += chains.CERTIFICATE_MODULI[0]
+            b += chains.CERTIFICATE_MODULI[0]
+        return b
+
+    monkeypatch.setattr(chains, "_next_antidiagonal", off_at_rank_9)
+    chains.clear_caches()
+    with pytest.raises(chains.CertificateError, match=f"rank n=9, base p={p}: .* mod {modulus},"):
+        bounded_chains_recurrence(20, p)
+    assert chains._memo is chains._COLD_WALK
 
 
 def test_threads_switching_bases_get_exact_counts():
