@@ -31,9 +31,10 @@ certified modulo a word-size prime L by the recurrence itself: the symmetry
 
     b_m = 1 + sum_{0 < k < m/2} [m k] (b_k + b_{m-k})  (+ [m m/2] b_{m/2} if m is even),
 
-and each [m k] is read in row order from qarith.gaussian_binomial, reduced mod
-L and multiplied by residues, so the check makes no big product. A rank whose
-triangle value differs mod L raises CertificateError.
+and each [m k] mod L is read in row order from qarith.gaussian_binomial, which
+steps its half row mod L, and multiplied by residues, so the check builds no
+exact binomial and makes no big product. A rank whose triangle value differs
+mod L raises CertificateError.
 
 Polynomials run the same triangle at p = 1 and p = +-2^K. The polynomial has
 non-negative coefficients that sum to b_n(1), the ordered Bell number (the
@@ -59,7 +60,9 @@ factored out of a sum of tails, which would be the recurrence again.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from math import log2
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import qarith
@@ -165,13 +168,13 @@ def _next_antidiagonal(diag: list[int], p: int, powers: list[int]) -> int:
 
 
 def _recurrence_residue(m: int, p: int, residues: list[int], modulus: int) -> int:
-    """b_m mod modulus by the paired binomial sum over b_0..b_(m-1) mod modulus, reading row m in row order."""
+    """b_m mod modulus by the paired binomial sum over b_0..b_(m-1) mod modulus, reading row m mod modulus in order."""
     # [m k] = [m m-k]: one residue serves ranks k and m-k; [m 0] b_0 = 1.
-    total = 1 + sum(
-        qarith.gaussian_binomial(m, k, p) % modulus * (residues[k] + residues[m - k]) for k in range(1, (m + 1) // 2)
-    )
+    half = (m + 1) // 2
+    row = map(qarith.gaussian_binomial, repeat(m), range(1, half), repeat(p), repeat(modulus))
+    total = 1 + sum(map(mul, row, map(add, residues[1:half], residues[m - 1 : m - half : -1])))
     if m % 2 == 0:
-        total += qarith.gaussian_binomial(m, m // 2, p) % modulus * residues[m // 2]
+        total += qarith.gaussian_binomial(m, m // 2, p, modulus) * residues[m // 2]
     return total % modulus
 
 
@@ -224,9 +227,11 @@ def check_count_bits(n: int, *bases: int) -> None:
 
     b_n <= p^(n(n-1)/2) * b_n(1) and b_n(1) <= n^n, so b_n can have n*log2(n) + 1
     bits more (b_447 at p = 2 has 100,290). The cap bounds the triangle's n^2/2
-    steps on numbers that size, each a shift or a product by a power p^e, and the
-    certificate's n^2/4 binomials reduced mod a word-size prime: worst at p = 2,
-    the most ranks per bit. Rendering table's n + 1 records now costs more.
+    steps on numbers that size, each a shift or a product by a power p^e; the
+    certificate's half rows mod a word-size prime cost about n^2/4 word-size
+    products. Worst at p = 2, the most ranks per bit. Rendering table's n + 1
+    records still costs about twice the engine there: one str() of each F,
+    quadratic before Python 3.12 (D and C are derived from its digits).
     """
     check_rank(n)
     check_base(min(bases))

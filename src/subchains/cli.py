@@ -30,8 +30,34 @@ DEFAULT_VERIFY_GRID = "2:6,3:3,5:2,7:2"
 
 def _record(p, n: int, counts: chains.ChainCounts, method: str, elapsed_ms: float) -> dict:
     # F/D/C as decimal strings: values are unbounded and must never be
-    # truncated or switched to scientific notation.
-    return dict(zip(RECORD_KEYS, (p, n, *map(str, counts), method, round(elapsed_ms, 3))))
+    # truncated or switched to scientific notation. The recurrence's D and C
+    # are F - 1 and 2F - 1 by construction, so they are derived from F's
+    # digits; the oracle's are its own lattice tallies, each rendered, so a
+    # fault in the lattice count shows.
+    digits = _rooted_digits(counts.rooted) if method == "recurrence" else map(str, counts)
+    return dict(zip(RECORD_KEYS, (p, n, *digits, method, round(elapsed_ms, 3))))
+
+
+_TWICE_MOD_10 = str.maketrans("0123456789", "0246802468")
+_TWICE_DIV_10 = str.maketrans("0123456789", "\x00" * 5 + "\x01" * 5)
+
+
+def _rooted_digits(rooted: int) -> tuple[str, str, str]:
+    """F, D = F - 1 and C = 2F - 1 in decimal, by one str() of F and linear steps on its digits.
+
+    str() of a big int is quadratic before Python 3.12. D: F's trailing zeros
+    become nines and the digit before them drops by one. C = 2D + 1: digit i
+    of 2D is 2 d_i mod 10 plus the carry 2 d_(i+1) div 10 of its right
+    neighbour, at most 8 + 1, so the two digit strings, read as byte strings
+    and added as integers, carry across no byte; 2D is even, so the + 1 only
+    raises its last digit. A 1 leads when D's first digit is 5 or more.
+    """
+    f = str(rooted)
+    head = f.rstrip("0")
+    d = (head[:-1] + str(int(head[-1]) - 1) + "9" * (len(f) - len(head))).lstrip("0") or "0"
+    twice = (d.translate(_TWICE_MOD_10), (d[1:] + "0").translate(_TWICE_DIV_10))
+    c = sum(int.from_bytes(part.encode(), "big") for part in twice) + 1
+    return f, d, ("1" if d[0] >= "5" else "") + c.to_bytes(len(d), "big").decode()
 
 
 # json, csv and lattice are imported inside the functions that use them (and

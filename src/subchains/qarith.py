@@ -6,7 +6,10 @@ primitive, the q-Pascal row step [m k] = [m-1 k-1] + p^k [m-1 k], which takes
 row m-1 of the triangle to row m with no division. Polynomial binomials run
 the same step at p = 2^K and read the coefficients off as base-2^K digits
 (Kronecker substitution): they are non-negative and sum to the value at p = 1,
-so with 2^K above that sum no digit carries.
+so with 2^K above that sum no digit carries. Given a modulus, the step runs on
+residues at the base p mod modulus, so a row mod a word-size prime costs
+word-size products only; that is how the certificate of the integer counts
+reads its binomials. Without one every value is exact.
 
 The base is deliberately not required to be prime. All identities here are
 polynomial identities in p; only the subgroup-lattice interpretation needs
@@ -61,15 +64,24 @@ def check_column(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={brief(k)}, n={brief(n)}")
 
 
-def q_pascal_step(row: list[int], p: int, width: int) -> list[int]:
-    """Row m of [m k]_p, k <= width, from row m-1; any p >= 1 (p = 1 gives Pascal's triangle)."""
+def q_pascal_step(row: list[int], p: int, width: int, modulus: int | None = None) -> list[int]:
+    """Row m of [m k]_p, k <= width, from row m-1; any p >= 1 (p = 1 gives Pascal's triangle).
+
+    With a modulus, row m-1 holds residues and so does row m. The powers of p
+    are taken mod modulus, so every product is below modulus^2 and a base that
+    is 0 or 1 mod modulus steps like any other.
+    """
     top = min(len(row), width + 1)
-    if p & (p - 1):
+    if modulus is not None:
+        residue = p % modulus
+        scaled = map(mul, accumulate(repeat(residue, top - 1), lambda a, b: a * b % modulus, initial=1), row[:top])
+    elif p & (p - 1):
         scaled = map(mul, accumulate(repeat(p, top - 1), mul, initial=1), row[:top])
     else:
         scaled = (x << (p.bit_length() - 1) * k for k, x in enumerate(row[:top]))
     next(scaled)  # column 0 of the new row is 1
-    out = [1, *map(add, row, scaled)]
+    out = map(add, row, scaled)
+    out = [1, *(out if modulus is None else map(modulus.__rmod__, out))]
     if len(row) <= width:
         out.append(1)
     return out
@@ -83,12 +95,20 @@ def q_pascal_row(n: int, p: int, width: int) -> list[int]:
     return row
 
 
-# (p, m, columns 0..m//2 of row m): the half row gaussian_binomial built last;
-# [m k] = [m m-k] gives the rest. Rows are never changed in place and each call
-# reads its own snapshot, so threads that race to replace it cost each other at
-# most a rebuild and never a wrong value: no lock needed.
-_COLD_ROW: tuple[int, int, list[int]] = (0, 0, [1])
+# (p, modulus, m, columns 0..m//2 of row m): the half row gaussian_binomial
+# built last, exact when modulus is None, else reduced mod modulus; [m k] =
+# [m m-k] gives the rest. Rows are never changed in place and each call reads
+# its own snapshot, so threads that race to replace it cost each other at most
+# a rebuild and never a wrong value: no lock needed. The cold row's base is
+# None, so no call, not even one at a refused base, reads it without checks.
+_COLD_ROW: tuple[int | None, int | None, int, list[int]] = (None, None, 0, [1])
 _row = _COLD_ROW
+
+
+def check_modulus(modulus: int | None) -> None:
+    """Refuse a modulus below 2 (None asks for the exact value)."""
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {brief(modulus)}")
 
 
 # maxsize=0 stores nothing and counts every call as a miss, here and on
@@ -98,27 +118,32 @@ _row = _COLD_ROW
 # benchmark's tracer (bench/launcher.py) times both layers through their
 # __wrapped__ and cache_parameters; they can go when the tracer stops needing them.
 @lru_cache(maxsize=0)
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p), read in row order.
+def gaussian_binomial(n: int, k: int, p: int, modulus: int | None = None) -> int:
+    """Number of k-dimensional subspaces of F_p^n (q-binomial at q = p), mod modulus if one is given; read in row order.
 
     Only columns k <= n/2 are built, since [n k] = [n n-k]. The kept half row
-    steps up to row n if it is at base p and rank at most n; otherwise the
-    walk starts again from row 0. Either way row n's half row is kept. So the
-    certificate, which asks rows in increasing rank, pays one step per row. For
-    one entry out of that order, q_pascal_row(n, p, min(k, n - k))[-1] builds
-    only the columns it needs.
+    steps up to row n if it is at base p and modulus and rank at most n;
+    otherwise the walk starts again from row 0. Either way row n's half row is
+    kept. So the certificate, which asks rows in increasing rank, pays one step
+    per row. With a modulus every step runs on residues, at p mod modulus, and
+    makes no big product; without one the row is exact. For one exact entry
+    out of that order, q_pascal_row(n, p, min(k, n - k))[-1] builds only the
+    columns it needs.
     """
     global _row
+    base, kept_modulus, m, row = _row
+    if m == n and base == p and kept_modulus == modulus and 0 <= k <= n:
+        return row[min(k, n - k)]  # every read of a row but the one that steps to it
     check_column(n, k)
     check_base(p)
-    base, m, row = _row
-    if base != p or m > n:
+    check_modulus(modulus)
+    if base != p or kept_modulus != modulus or m > n:
         m, row = 0, [1]
     while m < n:
         m += 1
         # Row m-1 stops at column (m-1)//2; for even m, column m/2 - 1 is also column m/2.
-        row = q_pascal_step(row + row[-1:] if m % 2 == 0 else row, p, m // 2)
-    _row = (p, n, row)
+        row = q_pascal_step(row + row[-1:] if m % 2 == 0 else row, p, m // 2, modulus)
+    _row = (p, modulus, n, row)
     return row[min(k, n - k)]
 
 

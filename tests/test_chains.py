@@ -222,14 +222,14 @@ def test_clear_caches_leaves_the_engine_cold():
     info = qarith.gaussian_binomial.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert qarith.gaussian_binomial_poly.cache_info().currsize == 0
-    assert qarith._row == (0, 0, [1])
+    assert qarith._row == (None, None, 0, [1])
     assert chains._memo == (0, [1], [1], [1])
     # qarith's reset alone leaves the recurrence memo warm.
     chain_counts(6, 3)
     qarith.gaussian_binomial_poly(4, 2)
     memo = chains._memo
     qarith.clear_caches()
-    assert qarith._row == (0, 0, [1])
+    assert qarith._row == (None, None, 0, [1])
     assert qarith.gaussian_binomial.cache_info().misses == 0
     assert qarith.gaussian_binomial_poly.cache_info().misses == 0
     assert chains._memo is memo and (memo.p, len(memo.diag)) == (3, 7)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import subchains
 from subchains import chains, lattice, qarith
 from subchains.chains import chain_counts
-from subchains.cli import RECORD_KEYS, build_parser, main
+from subchains.cli import RECORD_KEYS, _rooted_digits, build_parser, main
 from subchains.lattice import DEFAULT_NODE_BUDGET
 
 
@@ -127,9 +129,13 @@ def test_domain_errors_exit_2(argv, needle, capsys):
 
 
 def one_wrong_binomial(monkeypatch, rank):
-    """Make qarith.gaussian_binomial, the certificate's reader, return [rank 1] + 1."""
+    """Make qarith.gaussian_binomial, the certificate's reader, return [rank 1] + 1 (mod L when asked mod L)."""
     binomial = qarith.gaussian_binomial
-    monkeypatch.setattr(qarith, "gaussian_binomial", lambda n, k, p: binomial(n, k, p) + (n == rank and k == 1))
+
+    def wrong(n, k, p, modulus=None):
+        return binomial(n, k, p, modulus) + (n == rank and k == 1)
+
+    monkeypatch.setattr(qarith, "gaussian_binomial", wrong)
 
 
 @pytest.mark.parametrize("p,rank", [(2, 31), (7, 2), (10**18 + 9, 12)])
@@ -515,6 +521,57 @@ def test_full_precision_rendering(capsys):
     assert record["F"] == str(expected.rooted)
     assert record["C"] == str(expected.total)
     assert len(record["F"]) > 35  # genuinely past any float precision
+
+
+@st.composite
+def rooted_values(draw):
+    # F >= 1 where a borrow runs through every digit (10^k), the top digit doubles
+    # into a new one (5 * 10^k) or nearly does, and values of any width up to
+    # 200,000 bits, past table's largest F (100,290 bits).
+    if draw(st.booleans()):
+        power = 10 ** draw(st.integers(0, 60_000))
+        return draw(st.sampled_from([power, power - 1 or 1, power + 1, 2 * power, 5 * power]))
+    bits = draw(st.integers(1, 200_000))
+    return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << bits - 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(rooted_values())
+@example(1)
+@example(5)
+@example(10)
+@example(10**30_000)
+@example(10**30_000 - 1)
+@example(5 * 10**30_000 + 1)
+def test_rooted_digits_equal_str_of_each_tally(rooted):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert _rooted_digits(rooted) == (str(rooted), str(rooted - 1), str(2 * rooted - 1))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _parsed_records(out: str, fmt: str) -> list[dict]:
+    if fmt == "text":
+        return [dict(field.split("=") for field in line.split()) for line in out.splitlines()]
+    if fmt == "json":
+        return [json.loads(line) for line in out.splitlines()]
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_records_parse_back_to_the_chain_identities(fmt, capsys):
+    code, out, err = run_cli(["table", "--p", "3", "--max-n", "60", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    records = _parsed_records(out, fmt)
+    assert [int(record["n"]) for record in records] == list(range(61))
+    for record in records:
+        F = int(record["F"])
+        assert (int(record["D"]), int(record["C"])) == (F - 1, 2 * F - 1)
+        assert F == chain_counts(int(record["n"]), 3).rooted
 
 
 def test_default_budget_is_documented_value(capsys):

@@ -312,61 +312,80 @@ def test_deep_binomial_poly_needs_no_recursion():
 def binomial_calls(draw):
     # What callers ask: row-order walks reading columns on both sides of n/2
     # across even and odd ranks, lone entries at or above the kept row's rank
-    # (a step up) or below it (a walk from row 0), and a switch of base
-    # between any two of them.
+    # (a step up) or below it (a walk from row 0), and a switch of base or of
+    # modulus (exact, the certificate's primes, small ones that divide p or
+    # p - 1) between any two of them.
     calls = []
     for _ in range(draw(st.integers(1, 6))):
         p = draw(st.sampled_from([2, 3, 4, 10, 1000003, 2**61 - 1]))
+        modulus = draw(st.sampled_from([None, None, *chains.CERTIFICATE_MODULI, 2, 3, 5]))
         start = draw(st.integers(0, 40))
         if draw(st.booleans()):
             for n in range(start, start + draw(st.integers(1, 8))):
-                calls += [(n, k, p) for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4))]
+                calls += [(n, k, p, modulus) for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4))]
         else:
-            calls.append((start, draw(st.integers(0, start)), p))
+            calls.append((start, draw(st.integers(0, start)), p, modulus))
     return calls
+
+
+def ref_residue(n, k, p, modulus):
+    exact = ref_gaussian_binomial(n, k, p)
+    return exact if modulus is None else exact % modulus
+
+
+def ref_residue_half_row(n, p, modulus):
+    return [ref_residue(n, k, p, modulus) for k in range(n // 2 + 1)]
 
 
 @settings(deadline=None, max_examples=60)
 @given(binomial_calls(), st.integers(2, 40), st.sampled_from([2, 3, 10, 1000003]))
-@example([(n, k, 3) for n in range(10) for k in reversed(range(n + 1))], 9, 3)
-@example([(40, 20, 5), (41, 3, 5), (42, 40, 5), (200, 1, 5), (43, 21, 5), (44, 2, 5), (44, 22, 7)], 2, 5)
-@example([(7, 4, 2), (8, 5, 2), (9, 1, 2), (10, 6, 2), (12, 3, 2), (12, 9, 2)], 40, 2)
-@example([(10, 5, 3), (30, 2, 3), (12, 6, 3)], 20, 3)
+@example([(n, k, 3, None) for n in range(10) for k in reversed(range(n + 1))], 9, 3)
+@example([(40, 20, 5, None), (41, 3, 5, None), (42, 40, 5, None), (200, 1, 5, None), (43, 21, 5, None)], 2, 5)
+@example([(44, 2, 5, None), (44, 2, 5, 7), (44, 22, 5, 7), (45, 3, 5, 5), (46, 23, 5, 2), (44, 22, 7, None)], 2, 5)
+@example([(n, k, 2, None) for n, k in [(7, 4), (8, 5), (9, 1), (10, 6), (12, 3), (12, 9)]], 40, 2)
+@example([(10, 5, 3, None), (30, 2, 3, None), (12, 6, 3, None)], 20, 3)
+@example([(30, 2, 3, 1073741789), (31, 15, 3, None), (31, 15, 3, 1073741789)], 20, 3)
 def test_half_row_layer_matches_exact_division_in_any_call_order(calls, n, p):
     chains.clear_caches()
-    for m, k, q in calls:
-        assert gaussian_binomial(m, k, q) == ref_gaussian_binomial(m, k, q)
-    # The recurrence walks the half rows of ranks 2..n and stores no entry.
+    for m, k, q, modulus in calls:
+        assert gaussian_binomial(m, k, q, modulus) == ref_residue(m, k, q, modulus)
+    # The recurrence walks the half rows of ranks 2..n mod its prime and stores no entry.
+    modulus = chains.certificate_modulus(p)
     assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
-    assert qarith._row == (p, n, [ref_gaussian_binomial(n, k, p) for k in range(n // 2 + 1)])
+    assert qarith._row == (p, modulus, n, ref_residue_half_row(n, p, modulus))
     assert gaussian_binomial.cache_info().currsize == 0
 
 
 def test_kept_row_steps_up_from_any_lower_rank(monkeypatch):
-    # One rule: the kept half row steps up to row n when it is at base p and
-    # rank <= n; any other read walks from row 0. Either way row n is kept.
+    # One rule: the kept half row steps up to row n when it is at base p,
+    # the same modulus and rank <= n; any other read walks from row 0. Either
+    # way row n is kept.
     steps = []
     step = qarith.q_pascal_step
 
-    def counted(row, p, width):
+    def counted(row, p, width, modulus=None):
         steps.append(width)
-        return step(row, p, width)
+        return step(row, p, width, modulus)
 
     monkeypatch.setattr(qarith, "q_pascal_step", counted)
     chains.clear_caches()
+    L = chains.certificate_modulus(3)
     assert bounded_chains_recurrence(40, 3) == ref_bounded(40, 3)
-    assert qarith._row == (3, 40, [ref_gaussian_binomial(40, k, 3) for k in range(21)])
-    for n, k, p, walked in [(45, 20, 3, 5), (200, 1, 3, 155), (12, 6, 3, 12)]:
+    assert qarith._row == (3, L, 40, ref_residue_half_row(40, 3, L))
+    for n, k, p, modulus, walked in [(45, 20, 3, L, 5), (200, 1, 3, L, 155), (12, 6, 3, L, 12), (12, 6, 3, None, 12)]:
         steps.clear()
-        assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
-        assert (len(steps), qarith._row[:2]) == (walked, (p, n))
+        assert gaussian_binomial(n, k, p, modulus) == ref_residue(n, k, p, modulus)
+        assert (len(steps), qarith._row[:3]) == (walked, (p, modulus, n))
     # Reading every entry of rows 0..40 in order: one restart, then one step per row.
-    steps.clear()
-    for n in range(41):
-        assert [gaussian_binomial(n, k, 3) for k in range(n + 1)] == [ref_gaussian_binomial(n, k, 3) for k in range(n + 1)]
-    assert len(steps) == 40
-    for n, k, p in [(41, 20, 3), (41, 7, 5), (43, 21, 3), (44, 22, 3), (3, 1, 3)]:
-        assert gaussian_binomial(n, k, p) == ref_gaussian_binomial(n, k, p)
+    for modulus in (None, L):
+        steps.clear()
+        for n in range(41):
+            got = [gaussian_binomial(n, k, 3, modulus) for k in range(n + 1)]
+            assert got == [ref_residue(n, k, 3, modulus) for k in range(n + 1)]
+        assert len(steps) == 40
+    reads = [(41, 20, 3, L), (41, 20, 3, None), (41, 7, 5, None), (43, 21, 3, 7), (44, 22, 3, None), (3, 1, 3, None)]
+    for n, k, p, modulus in reads:
+        assert gaussian_binomial(n, k, p, modulus) == ref_residue(n, k, p, modulus)
 
 
 def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
@@ -374,9 +393,10 @@ def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
     chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
     assert gaussian_binomial(40, 20, 5) == ref_gaussian_binomial(40, 20, 5)
-    assert qarith._row == (5, 40, [ref_gaussian_binomial(40, k, 5) for k in range(21)])
+    assert qarith._row == (5, None, 40, ref_residue_half_row(40, 5, None))
     assert bounded_chains_recurrence(52, 3) == ref_bounded(52, 3)
-    assert qarith._row == (3, 52, [ref_gaussian_binomial(52, k, 3) for k in range(27)])
+    L = chains.certificate_modulus(3)
+    assert qarith._row == (3, L, 52, ref_residue_half_row(52, 3, L))
 
 
 def test_verify_census_leaves_the_kept_row_alone(capsys, monkeypatch):
@@ -385,17 +405,18 @@ def test_verify_census_leaves_the_kept_row_alone(capsys, monkeypatch):
     reads = []
     binomial = qarith.gaussian_binomial
 
-    def recorded(n, k, p):
-        reads.append((n, k, p))
-        return binomial(n, k, p)
+    def recorded(n, k, p, modulus=None):
+        reads.append((n, k, p, modulus))
+        return binomial(n, k, p, modulus)
 
     monkeypatch.setattr(qarith, "gaussian_binomial", recorded)
     assert cli.main(["verify", "--oracle", "3:4"]) == 0
     capsys.readouterr()
     # Ranks 1-4 restart the walk below rank 50, and only its certificate reads
-    # the binomial layer, columns 1..m/2 of rows 2-4: the census reads its own rows.
-    assert reads == [(m, k, 3) for m in range(2, 5) for k in range(1, m // 2 + 1)]
-    assert qarith._row[:2] == (3, 4)
+    # the binomial layer, columns 1..m/2 of rows 2-4 mod its prime: the census reads its own rows.
+    L = chains.certificate_modulus(3)
+    assert reads == [(m, k, 3, L) for m in range(2, 5) for k in range(1, m // 2 + 1)]
+    assert qarith._row[:3] == (3, L, 4)
 
 
 def test_polynomials_leave_the_integer_engine_alone():
@@ -496,6 +517,24 @@ def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatc
     with pytest.raises(chains.CertificateError, match=f"rank n=9, base p={p}: .* mod {modulus},"):
         bounded_chains_recurrence(20, p)
     assert chains._memo is chains._COLD_WALK
+
+
+# The product of the certificate's primes: it, one more and twice it are 0 or 1 mod every one of them.
+ALL_PRIMES = chains.CERTIFICATE_MODULI[0] * chains.CERTIFICATE_MODULI[1] * chains.CERTIFICATE_MODULI[2]
+
+
+@pytest.mark.parametrize("p", [ALL_PRIMES, ALL_PRIMES + 1, 2 * ALL_PRIMES])
+def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p):
+    # No prime of the list sees an exponent here, so the certificate falls
+    # back to the last one and steps its half rows at the residue base p mod L,
+    # 0 or 1, where every power of p is 0 or 1.
+    last = chains.CERTIFICATE_MODULI[-1]
+    assert {p % prime for prime in chains.CERTIFICATE_MODULI} == {p % last} <= {0, 1}
+    assert chains.certificate_modulus(p) == last
+    chains.clear_caches()
+    assert bounded_chains_recurrence(40, p) == ref_bounded(40, p)
+    assert qarith._row == (p, last, 40, ref_residue_half_row(40, p, last))
+    assert chains._memo.residues == [ref_bounded(k, p) % last for k in range(41)]
 
 
 def test_threads_switching_bases_get_exact_counts():

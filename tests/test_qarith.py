@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from subchains import qarith
 from subchains.polynomial import ONE, IntPolynomial
 from subchains.qarith import brief, galois_number, gaussian_binomial, gaussian_binomial_poly
 
@@ -40,6 +41,17 @@ def test_gaussian_binomial_rejects_out_of_range():
     for k in (-1, 4):
         with pytest.raises(ValueError, match=f"got k={k}, n=3"):
             gaussian_binomial_poly(3, k)
+    # The kept row answers no call that its checks would refuse: not at base 0 from cold,
+    # nor a column outside row 3 or a modulus below 2 with row 3 kept.
+    qarith.clear_caches()
+    with pytest.raises(ValueError, match="base p must be >= 2, got 0"):
+        gaussian_binomial(0, 0, 0)
+    assert gaussian_binomial(3, 1, 2) == 7
+    with pytest.raises(ValueError, match=column):
+        gaussian_binomial(3, 4, 2)
+    for modulus in (1, 0, -7):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {modulus}"):
+            gaussian_binomial(3, 1, 2, modulus)
 
 
 def test_symmetry_on_grid():
