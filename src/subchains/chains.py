@@ -20,12 +20,13 @@ q-binomial theorem for q-commuting operators gives ((D + S)^m b)_0 =
 sum_k [m k] b_k = 2 b_m for m >= 1. In T[0] = b, T[j] = (D + S) T[j-1], that
 is T[j][i] = p^i T[j-1][i] + T[j-1][i+1], b_m has coefficient 1 in every
 entry of antidiagonal m, so one pass along it with b_m = 0 lands b_m at
-T[m][0]. One loop, _next_antidiagonal, takes that step at any base: at
-p = +-2^s each term p^e x is a shift, added or subtracted, and at any other
-base a product by a kept power p^e.
+T[m][0]. One generator, _triangle, takes that step at any base and yields
+b_0, b_1, ...: at p = +-2^s each term p^e x is a shift, added or subtracted,
+and at any other base a product by a kept power p^e.
 
-Integer counts (count, table, verify, chain_counts) keep antidiagonal m of
-the most recent base and step it a rank at a time. Each new rank is
+Integer counts (count, table, verify, chain_counts) keep the certified
+stream of the most recent base, suspended after the last rank asked, and
+advance it a rank at a time. Each new rank is
 certified modulo a word-size prime L by the recurrence itself: the symmetry
 [m k] = [m m-k] pairs the terms of ranks k and m-k,
 
@@ -60,7 +61,7 @@ factored out of a sum of tails, which would be the recurrence again.
 from __future__ import annotations
 
 import threading
-from itertools import repeat
+from itertools import islice, repeat
 from math import log2
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -69,6 +70,8 @@ from . import qarith
 from .qarith import brief, check_base, check_rank, q_pascal_step
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .polynomial import IntPolynomial
 
 # Every limit a CLI request is checked against before any work, each with one
@@ -121,96 +124,97 @@ def certificate_modulus(p: int) -> int:
     return next((prime for prime in CERTIFICATE_MODULI if p % prime > 1), CERTIFICATE_MODULI[-1])
 
 
-class _Walk(NamedTuple):
-    """The triangle at base p up to rank m = len(diag) - 1, stepped in place."""
-
-    p: int
-    diag: list[int]  # antidiagonal m: diag[j] = T[j][m-j], so diag[0] = b_m
-    powers: list[int]  # p^0, p^1, ... as far as a step has needed them (only p^0 at p = 2^s)
-    residues: list[int]  # b_0..b_m mod certificate_modulus(p), by the recurrence
-
-
-# The walk of the most recent base only, so memory stays bounded however many
-# bases a process sees; the lock serializes stepping it. p = 0 is never
-# stepped: every base is refused below 2, so the first request replaces it.
-_COLD_WALK = _Walk(0, [1], [1], [1])
-_memo = _COLD_WALK
-_memo_lock = threading.Lock()
-
-
-def _next_antidiagonal(diag: list[int], p: int, powers: list[int]) -> int:
-    """Step diag from antidiagonal m-1 of the triangle at base p to antidiagonal m, in place, and return b_m.
+def _triangle(p: int) -> Iterator[int]:
+    """b_0, b_1, ... at any integer base p by the triangle, one antidiagonal step per rank.
 
     At p = +-2^s the term p^e x is x << s*e, subtracted when p^e < 0; at any
-    other p it is x * powers[e], and powers is extended to p^(m-1) first.
+    other p it is x * powers[e], and powers grows by one power per rank.
     """
-    m = len(diag)
     shift = abs(p).bit_length() - 1
     if abs(p) != 1 << shift:
         shift = None
-        while len(powers) < m:
-            powers.append(powers[-1] * p)
     odd = 1 if p < 0 else 0  # e & odd is 1 exactly when p^e < 0
-    acc = 0  # T[j][m-j] with b_m = 0, built from antidiagonal m-1 in place
-    for j in range(m):
-        x, diag[j] = diag[j], acc
-        e = m - 1 - j
+    diag, powers = [1], [1]  # antidiagonal m: diag[j] = T[j][m-j], so diag[0] = b_m; p^0..p^(m-1)
+    while True:
+        yield diag[0]
+        m = len(diag)
+        acc = 0  # T[j][m-j] with b_m = 0, built from antidiagonal m-1 in place
+        for j in range(m):
+            x, diag[j] = diag[j], acc
+            e = m - 1 - j
+            if shift is None:
+                acc += x * powers[e]
+            elif e & odd:
+                acc -= x << shift * e
+            else:
+                acc += x << shift * e
+        diag.append(acc)  # T[m][0] = 2 b_m - b_m
+        for j in range(m + 1):
+            diag[j] += acc
         if shift is None:
-            acc += x * powers[e]
-        elif e & odd:
-            acc -= x << shift * e
-        else:
-            acc += x << shift * e
-    diag.append(acc)  # T[m][0] = 2 b_m - b_m
-    for j in range(m + 1):
-        diag[j] += acc
-    return acc
+            powers.append(powers[-1] * p)
 
 
-def _recurrence_residue(m: int, p: int, residues: list[int], modulus: int) -> int:
-    """b_m mod modulus by the paired binomial sum over b_0..b_(m-1) mod modulus, reading row m mod modulus in order."""
-    # [m k] = [m m-k]: one residue serves ranks k and m-k; [m 0] b_0 = 1.
-    half = (m + 1) // 2
-    row = map(qarith.gaussian_binomial, repeat(m), range(1, half), repeat(p), repeat(modulus))
-    total = 1 + sum(map(mul, row, map(add, residues[1:half], residues[m - 1 : m - half : -1])))
-    if m % 2 == 0:
-        total += qarith.gaussian_binomial(m, m // 2, p, modulus) * residues[m // 2]
-    return total % modulus
+def _certified(p: int) -> Iterator[int]:
+    """_triangle(p), each rank m >= 1 checked mod certificate_modulus(p) by the paired binomial sum.
+
+    The sum runs over b_0..b_(m-1) mod the prime, reading row m mod the prime
+    in order from qarith.gaussian_binomial; a rank that differs raises CertificateError.
+    """
+    modulus = certificate_modulus(p)
+    stream = _triangle(p)
+    yield next(stream)  # b_0 = 1 at every base
+    residues = [1]
+    for m, b in enumerate(stream, 1):
+        # [m k] = [m m-k]: one residue serves ranks k and m-k; [m 0] b_0 = 1.
+        half = (m + 1) // 2
+        row = map(qarith.gaussian_binomial, repeat(m), range(1, half), repeat(p), repeat(modulus))
+        c = 1 + sum(map(mul, row, map(add, residues[1:half], residues[m - 1 : m - half : -1])))
+        if m % 2 == 0:
+            c += qarith.gaussian_binomial(m, m // 2, p, modulus) * residues[m // 2]
+        c %= modulus
+        if b % modulus != c:
+            raise CertificateError(
+                f"certificate failed at rank n={m}, base p={brief(p)}: "
+                f"the triangle gives {b % modulus} mod {modulus}, the recurrence {c}"
+            )
+        residues.append(c)
+        yield b
+
+
+# (p, stream, rank, b): the certified stream of the most recent base only,
+# suspended after b = b_rank, so memory stays bounded however many bases a
+# process sees; the lock serializes advancing it. The cold value's base 0 is
+# never asked (every base is refused below 2), so the first request replaces it.
+_COLD = (0, None, 0, 1)
+_memo = _COLD
+_memo_lock = threading.Lock()
 
 
 def bounded_chains_recurrence(n: int, p: int) -> int:
     """Number of chains containing both the trivial subgroup and Z_p^n.
 
-    The triangle is stepped from the kept antidiagonal when it is at base p
-    and rank at most n, else from rank 0; either way antidiagonal n is kept.
+    The kept stream is advanced when it is at base p and rank at most n;
+    otherwise a new one starts from rank 0. Either way it is kept at rank n.
     Each new rank m takes m shifts or products by p^e, and is certified mod
     certificate_modulus(p) by the binomial sum, which raises CertificateError
-    on a mismatch and leaves the engine cold. The memo keeps one base under
-    one lock, so threads that work on different bases serialize and evict
-    each other's memo.
+    on a mismatch. The memo is cold while the stream advances, so a stream
+    stopped mid-rank, by that error or any other, is never kept. The memo
+    keeps one base under one lock, so threads that work on different bases
+    serialize and evict each other's stream.
     """
     global _memo
     check_rank(n)
     check_base(p)
     with _memo_lock:
-        walk = _memo
-        if walk.p != p or len(walk.diag) > n + 1:
-            walk = _memo = _Walk(p, [1], [1], [1])
-        modulus = certificate_modulus(p)
-        try:
-            for m in range(len(walk.diag), n + 1):
-                b = _next_antidiagonal(walk.diag, p, walk.powers)
-                c = _recurrence_residue(m, p, walk.residues, modulus)
-                if b % modulus != c:
-                    raise CertificateError(
-                        f"certificate failed at rank n={m}, base p={brief(p)}: "
-                        f"the triangle gives {b % modulus} mod {modulus}, the recurrence {c}"
-                    )
-                walk.residues.append(c)
-        except BaseException:
-            _memo = _COLD_WALK  # a walk stopped mid-step is not kept
-            raise
-        return walk.diag[0]
+        kept, stream, rank, b = _memo
+        if kept != p or rank > n:
+            stream, rank = _certified(p), -1
+        if rank < n:
+            _memo = _COLD
+            b = next(islice(stream, n - rank - 1, None))
+            _memo = (p, stream, n, b)
+        return b
 
 
 def check_closed_form_rank(n: int) -> None:
@@ -293,14 +297,6 @@ def chain_counts(n: int, p: int) -> ChainCounts:
     return ChainCounts.from_rooted(b if n == 0 else 2 * b)
 
 
-def _triangle(n: int, shift: int, sign: int = 1) -> int:
-    """b_n at p = sign * 2^shift by the triangle: every term a shift, added or subtracted (poly's evaluations)."""
-    diag, powers = [1], [1]
-    for _ in range(n):
-        _next_antidiagonal(diag, sign << shift, powers)
-    return diag[0]
-
-
 def bounded_chains_poly(n: int) -> IntPolynomial:
     """Bounded-chain count with the base left symbolic, by Kronecker substitution (no memo, no lock).
 
@@ -318,10 +314,13 @@ def bounded_chains_poly(n: int) -> IntPolynomial:
     from .polynomial import IntPolynomial
 
     check_rank(n)
-    width = -(-_triangle(n, 0).bit_length() // 8)  # bytes per coefficient
+
+    def b_n(p: int) -> int:
+        return next(islice(_triangle(p), n, None))
+
+    width = -(-b_n(1).bit_length() // 8)  # bytes per coefficient
     shift = 4 * width
-    plus = _triangle(n, shift)
-    minus = _triangle(n, shift, -1)
+    plus, minus = b_n(1 << shift), b_n(-1 << shift)
     even = IntPolynomial.from_digits((plus + minus) >> 1, width).coeffs
     odd = IntPolynomial.from_digits((plus - minus) >> shift + 1, width).coeffs
     coeffs = [0] * (2 * max(len(even), len(odd)))
@@ -341,8 +340,8 @@ def rooted_chains_poly(n: int) -> IntPolynomial:
 
 
 def clear_caches() -> None:
-    """Leave the engine cold: drop the kept walk, then reset qarith (its kept half row and call counters)."""
+    """Leave the engine cold: drop the kept stream, then reset qarith (its kept half row and call counters)."""
     global _memo
     with _memo_lock:
-        _memo = _COLD_WALK
+        _memo = _COLD
     qarith.clear_caches()

@@ -1,3 +1,4 @@
+import gc
 import math
 import subprocess
 import sys
@@ -190,7 +191,8 @@ def test_poly_60_holds_half_width_kronecker_integers():
     # traced peak stays well under (n+1) integers of the full width
     # (n(n-1)/2 + 1) * width bytes, which evaluating at 2^(8 * width) held.
     n = 60
-    width = -(-chains._triangle(n, 0).bit_length() // 8)
+    # The coefficients sum to b_n(1), the bound that sets the digit's width.
+    width = -(-sum(bounded_chains_poly(n).coeffs).bit_length() // 8)
     full = (n * (n - 1) // 2 + 1) * width
     tracemalloc.start()
     try:
@@ -214,7 +216,7 @@ def test_rooted_count_strictly_increases_in_base():
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_clear_caches_leaves_the_engine_cold():
+def test_clear_caches_leaves_the_engine_cold(pulls):
     chain_counts(6, 3)
     rooted_chains_poly(4)
     qarith.gaussian_binomial_poly(4, 2)
@@ -223,16 +225,40 @@ def test_clear_caches_leaves_the_engine_cold():
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert qarith.gaussian_binomial_poly.cache_info().currsize == 0
     assert qarith._row == (None, None, 0, [1])
-    assert chains._memo == (0, [1], [1], [1])
-    # qarith's reset alone leaves the recurrence memo warm.
+    # Cold: the same count pulls every rank again.
+    pulls.clear()
     chain_counts(6, 3)
+    assert len(pulls) == 7
+    # qarith's reset alone leaves the recurrence memo warm: rank 6 again pulls none, rank 7 one.
     qarith.gaussian_binomial_poly(4, 2)
-    memo = chains._memo
     qarith.clear_caches()
     assert qarith._row == (None, None, 0, [1])
     assert qarith.gaussian_binomial.cache_info().misses == 0
     assert qarith.gaussian_binomial_poly.cache_info().misses == 0
-    assert chains._memo is memo and (memo.p, len(memo.diag)) == (3, 7)
+    pulls.clear()
+    chain_counts(6, 3)
+    assert pulls == []
+    chain_counts(7, 3)
+    assert pulls == [3]
+
+
+def test_memory_stays_bounded_over_many_bases():
+    # A long-lived process asked about many bases holds about what one base
+    # costs: the engine keeps the most recent base's stream only.
+    bases = range(2, 22)
+    tracemalloc.start()
+    try:
+        chains.clear_caches()
+        chain_counts(150, max(bases))
+        gc.collect()
+        single = tracemalloc.get_traced_memory()[0]
+        for p in bases:
+            chain_counts(150, p)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * single
 
 
 def test_concurrent_evaluation_matches_serial():

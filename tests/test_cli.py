@@ -139,18 +139,21 @@ def one_wrong_binomial(monkeypatch, rank):
 
 
 @pytest.mark.parametrize("p,rank", [(2, 31), (7, 2), (10**18 + 9, 12)])
-def test_count_that_fails_its_certificate_exits_1_with_one_line(p, rank, monkeypatch, capsys):
+def test_count_that_fails_its_certificate_exits_1_with_one_line(p, rank, monkeypatch, capsys, pulls):
     chains.clear_caches()
     one_wrong_binomial(monkeypatch, rank)
     code, out, err = run_cli(["count", "--p", str(p), "--n", str(rank + 3)], capsys)
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert line.startswith(f"error: certificate failed at rank n={rank}, base p={qarith.brief(p)}: ")
-    # The failed walk is not kept: with the binomials mended, the next count starts cold and is right.
-    assert chains._memo is chains._COLD_WALK
+    assert len(pulls) == rank + 1
+    # The failed stream is not kept: with the binomials mended, the next count
+    # starts again from rank 0, pulling every rank, and is right.
     monkeypatch.undo()
+    pulls.clear()
     code, out, err = run_cli(["count", "--p", str(p), "--n", str(rank + 3)], capsys)
     assert (code, err) == (0, "")
+    assert len(pulls) == rank + 4
     assert f" F={chain_counts(rank + 3, p).rooted} " in out
 
 

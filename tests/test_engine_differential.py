@@ -21,11 +21,11 @@ row, and up to rank 120 against two congruences that need no second engine.
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import accumulate, zip_longest
-from math import factorial
+from itertools import accumulate, islice, zip_longest
+from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from subchains import chains, cli, qarith
 from subchains.chains import (
@@ -69,6 +69,12 @@ def ref_bounded(n, p):
     for m in range(len(table), n + 1):
         table.append(sum(ref_gaussian_binomial(m, k, p) * table[k] for k in range(m)))
     return table[n]
+
+
+@lru_cache(maxsize=None)
+def ref_ordered_bell(n):
+    # b_n(1), the ordered set partitions of n elements, by the size k of the first block.
+    return 1 if n == 0 else sum(comb(n, k) * ref_ordered_bell(n - k) for k in range(1, n + 1))
 
 
 def _add(a, b):
@@ -198,11 +204,11 @@ def deep_point(draw):
 @example((admitted_rank(10**18 + 9, 120), 10**18 + 9))
 def test_recurrence_satisfies_its_congruences(point):
     # [m k]_p = 1 mod p, so b_n = b_0 + ... + b_{n-1} = 2^(n-1) mod p; and
-    # p = 1 mod p-1, so b_n(p) = b_n(1), the triangle at p = 1, mod p-1.
+    # p = 1 mod p-1, so b_n(p) = b_n(1), the ordered Bell number, mod p-1.
     n, p = point
     b = bounded_chains_recurrence(n, p)
     assert b % p == pow(2, n - 1, p)
-    assert b % (p - 1) == chains._triangle(n, 0) % (p - 1)
+    assert b % (p - 1) == ref_ordered_bell(n) % (p - 1)
 
 
 @settings(deadline=None, max_examples=30)
@@ -279,16 +285,17 @@ def triangle_point(draw):
 @settings(deadline=None, max_examples=60)
 @given(triangle_point())
 def test_triangle_matches_memoized_binomial_sums(point):
+    # Every rank up to n; the reference's divisions stay exact at a negative base.
     n, shift = point
-    assert chains._triangle(n, shift) == ref_bounded(n, 2**shift)
-    # The reference's divisions stay exact at a negative base.
-    assert chains._triangle(n, shift, -1) == ref_bounded(n, -(2**shift))
+    for p in (2**shift, -(2**shift)):
+        assert list(islice(chains._triangle(p), n + 1)) == [ref_bounded(k, p) for k in range(n + 1)]
 
 
 def test_triangle_at_one_gives_ordered_bell_numbers():
     # OEIS A000670, the digit bound of the Kronecker unpacking.
     bell = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563]
-    assert [chains._triangle(n, 0) for n in range(11)] == bell
+    assert list(islice(chains._triangle(1), 11)) == bell
+    assert list(islice(chains._triangle(1), 61)) == [ref_ordered_bell(n) for n in range(61)]
 
 
 def test_deep_poly_evaluates_to_the_integer_engine():
@@ -412,53 +419,36 @@ def test_verify_census_leaves_the_kept_row_alone(capsys, monkeypatch):
     monkeypatch.setattr(qarith, "gaussian_binomial", recorded)
     assert cli.main(["verify", "--oracle", "3:4"]) == 0
     capsys.readouterr()
-    # Ranks 1-4 restart the walk below rank 50, and only its certificate reads
+    # Ranks 1-4 restart the stream below rank 50, and only its certificate reads
     # the binomial layer, columns 1..m/2 of rows 2-4 mod its prime: the census reads its own rows.
     L = chains.certificate_modulus(3)
     assert reads == [(m, k, 3, L) for m in range(2, 5) for k in range(1, m // 2 + 1)]
     assert qarith._row[:3] == (3, L, 4)
 
 
-def test_polynomials_leave_the_integer_engine_alone():
+def test_polynomials_leave_the_integer_engine_alone(pulls):
     chains.clear_caches()
     assert bounded_chains_recurrence(30, 3) == ref_bounded(30, 3)
-    walk = chains._memo
-    row, memo = qarith._row, (walk.p, list(walk.diag), list(walk.powers), list(walk.residues))
+    row = qarith._row
     sizes = gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize
     assert bounded_chains_poly(20).evaluate(3) == ref_bounded(20, 3)
     assert qarith._row is row
-    assert chains._memo is walk and chains._memo == memo
     assert (gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize) == sizes
+    # The count kept before the polynomial is still kept: rank 30 pulls none, rank 31 one.
+    pulls.clear()
+    assert bounded_chains_recurrence(30, 3) == ref_bounded(30, 3)
+    assert pulls == []
+    assert bounded_chains_recurrence(31, 3) == ref_bounded(31, 3)
+    assert pulls == [3]
 
 
-def ref_antidiagonal(m, p):
-    # T[j][i] = ((D + S)^j b)_i = sum_k [j k]_p p^(i k) b_(i+j-k), by the
-    # q-binomial theorem for S D = p D S; entry j of antidiagonal m has i = m - j.
-    return [
-        sum(ref_gaussian_binomial(j, k, p) * p ** ((m - j) * k) * ref_bounded(m - k, p) for k in range(j + 1))
-        for j in range(m + 1)
-    ]
-
-
-def ref_walk(m, p):
-    # The memo after b_m at base p: antidiagonal m, p^0..p^(m-1) (p^0 alone at a
-    # power of two), and b_0..b_m modulo the certificate's prime.
-    modulus = chains.certificate_modulus(p)
-    powers = [1] if p & (p - 1) == 0 else [p**e for e in range(max(m, 1))]
-    return (p, ref_antidiagonal(m, p), powers, [ref_bounded(k, p) % modulus for k in range(m + 1)])
-
-
-def test_memo_keeps_only_the_most_recent_base():
-    assert bounded_chains_recurrence(30, 5) == ref_bounded(30, 5)
-    assert bounded_chains_recurrence(20, 7) == ref_bounded(20, 7)
-    assert chains._memo == ref_walk(20, 7)
-    assert bounded_chains_recurrence(31, 5) == ref_bounded(31, 5)
-    assert chains._memo == ref_walk(31, 5)
-    # A rank below the kept one restarts the walk from rank 0.
-    assert bounded_chains_recurrence(12, 5) == ref_bounded(12, 5)
-    assert chains._memo == ref_walk(12, 5)
-    assert bounded_chains_recurrence(9, 4) == ref_bounded(9, 4)
-    assert chains._memo == ref_walk(9, 4)
+def test_memo_keeps_only_the_most_recent_base(pulls):
+    # Each call pulls the ranks it adds to the kept stream, or all n + 1 when it starts again.
+    chains.clear_caches()
+    for n, p, pulled in [(30, 5, 31), (20, 7, 21), (31, 5, 32), (31, 5, 0), (40, 5, 9), (12, 5, 13), (9, 4, 10)]:
+        pulls.clear()
+        assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
+        assert pulls == [p] * pulled
 
 
 # Powers of two (each step a shift), composites, and a base beyond a machine word.
@@ -482,41 +472,54 @@ def recurrence_calls(draw):
     return draw(st.permutations(calls)) if draw(st.booleans()) else calls
 
 
-@settings(deadline=None, max_examples=30)
+# The pulls fixture's list is shared by the examples; each one starts cold and clears it.
+@settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(recurrence_calls())
 @example([(n, 2) for n in range(81)])
 @example([(80, 10**18 + 9), (79, 10**18 + 9), (80, 10**18 + 9)])
 @example([(40, 6), (41, 4), (42, 6), (10, 6), (10, 6), (43, 4)])
-def test_recurrence_matches_binomial_sums_in_any_call_order(calls):
-    # The memo keeps one base's antidiagonal and restarts below its rank, so
-    # every order must give the binomial sum's value and leave that rank kept.
+def test_recurrence_matches_binomial_sums_in_any_call_order(pulls, calls):
+    # The memo keeps one base's stream and restarts below its rank, so every
+    # order must give the binomial sum's value, pulling only the ranks it adds
+    # to the kept (p, n) or all n + 1 when it starts again.
+    chains.clear_caches()
+    kept_p, kept_n = None, 0
     for n, p in calls:
+        pulls.clear()
         assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
-        assert (chains._memo.p, len(chains._memo.diag)) == (p, n + 1)
+        assert len(pulls) == (n - kept_n if p == kept_p and kept_n <= n else n + 1)
+        kept_p, kept_n = p, n
+
+
+def off_at_rank(monkeypatch, rank, error):
+    """Make chains._triangle yield b_rank + error, every other rank unchanged."""
+    triangle = chains._triangle
+
+    def off(p):
+        for m, b in enumerate(triangle(p)):
+            yield b + error if m == rank else b
+
+    monkeypatch.setattr(chains, "_triangle", off)
 
 
 @pytest.mark.parametrize("p", [chains.CERTIFICATE_MODULI[0], chains.CERTIFICATE_MODULI[0] + 1])
-def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatch):
+def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatch, pulls):
     # There every power of p is 0 or 1 mod the first prime, so the certificate
     # takes the next prime of the list, and sees a triangle off by a multiple of the first.
     modulus = chains.certificate_modulus(p)
     assert modulus in chains.CERTIFICATE_MODULI[1:] and p % modulus > 1
     chains.clear_caches()
     assert bounded_chains_recurrence(20, p) == ref_bounded(20, p)
-    step = chains._next_antidiagonal
-
-    def off_at_rank_9(diag, q, powers):
-        b = step(diag, q, powers)
-        if len(diag) == 10:
-            diag[0] += chains.CERTIFICATE_MODULI[0]
-            b += chains.CERTIFICATE_MODULI[0]
-        return b
-
-    monkeypatch.setattr(chains, "_next_antidiagonal", off_at_rank_9)
+    off_at_rank(monkeypatch, 9, chains.CERTIFICATE_MODULI[0])
     chains.clear_caches()
     with pytest.raises(chains.CertificateError, match=f"rank n=9, base p={p}: .* mod {modulus},"):
         bounded_chains_recurrence(20, p)
-    assert chains._memo is chains._COLD_WALK
+    # The failed stream is not kept: with the triangle mended, the same call
+    # starts again from rank 0 and is right.
+    monkeypatch.undo()
+    pulls.clear()
+    assert bounded_chains_recurrence(20, p) == ref_bounded(20, p)
+    assert len(pulls) == 21
 
 
 # The product of the certificate's primes: it, one more and twice it are 0 or 1 mod every one of them.
@@ -524,7 +527,7 @@ ALL_PRIMES = chains.CERTIFICATE_MODULI[0] * chains.CERTIFICATE_MODULI[1] * chain
 
 
 @pytest.mark.parametrize("p", [ALL_PRIMES, ALL_PRIMES + 1, 2 * ALL_PRIMES])
-def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p):
+def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p, monkeypatch):
     # No prime of the list sees an exponent here, so the certificate falls
     # back to the last one and steps its half rows at the residue base p mod L,
     # 0 or 1, where every power of p is 0 or 1.
@@ -534,7 +537,34 @@ def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p):
     chains.clear_caches()
     assert bounded_chains_recurrence(40, p) == ref_bounded(40, p)
     assert qarith._row == (p, last, 40, ref_residue_half_row(40, p, last))
-    assert chains._memo.residues == [ref_bounded(k, p) % last for k in range(41)]
+    # That call passed the check mod L at every rank, and the check is live
+    # there: a triangle off by the first prime at rank 33 alone is caught, mod the last.
+    off_at_rank(monkeypatch, 33, chains.CERTIFICATE_MODULI[0])
+    chains.clear_caches()
+    with pytest.raises(chains.CertificateError, match=f"rank n=33, base p={p}: .* mod {last},"):
+        bounded_chains_recurrence(40, p)
+
+
+def test_an_interrupted_advance_is_not_kept(monkeypatch, pulls):
+    # Only a stream that reaches its rank is kept; one stopped mid-rank, by
+    # any exception, is dropped with the rank 5 it advanced from, and the
+    # next call starts again from rank 0.
+    binomial = qarith.gaussian_binomial
+
+    def interrupted(n, k, p, modulus=None):
+        if (n, p) == (10, 3):
+            raise KeyboardInterrupt
+        return binomial(n, k, p, modulus)
+
+    chains.clear_caches()
+    assert bounded_chains_recurrence(5, 3) == ref_bounded(5, 3)
+    monkeypatch.setattr(qarith, "gaussian_binomial", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bounded_chains_recurrence(20, 3)
+    monkeypatch.undo()
+    pulls.clear()
+    assert bounded_chains_recurrence(20, 3) == ref_bounded(20, 3)
+    assert len(pulls) == 21
 
 
 def test_threads_switching_bases_get_exact_counts():
