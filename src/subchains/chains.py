@@ -151,6 +151,7 @@ def _triangle(p: int) -> Iterator[int]:
         diag.append(acc)  # T[m][0] = 2 b_m - b_m
         for j in range(m + 1):
             diag[j] += acc
+        del acc, x  # stale between ranks: the suspended frame keeps diag and powers only
         if shift is None:
             powers.append(powers[-1] * p)
 

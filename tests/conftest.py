@@ -22,3 +22,28 @@ def pulls():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chains, "_triangle", counted)
         yield pulled
+
+
+@pytest.fixture
+def off_at_rank(monkeypatch):
+    """A fault in chains._triangle, through the test's monkeypatch: off_at_rank(rank, error) patches it.
+
+    The patched triangle yields b_rank + error at every base, every other rank
+    unchanged; an exception for error is raised at that rank instead. It wraps
+    chains._triangle as the test sees it, so the pulls fixture still counts.
+    """
+
+    def patch(rank, error):
+        triangle = chains._triangle
+
+        def off(p):
+            for m, b in enumerate(triangle(p)):
+                if m == rank:
+                    if not isinstance(error, int):
+                        raise error
+                    b += error
+                yield b
+
+        monkeypatch.setattr(chains, "_triangle", off)
+
+    return patch

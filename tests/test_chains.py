@@ -1,9 +1,11 @@
 import gc
+import inspect
 import math
 import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
 
@@ -259,6 +261,25 @@ def test_memory_stays_bounded_over_many_bases():
     finally:
         tracemalloc.stop()
     assert held < 1.5 * single
+
+
+def test_a_suspended_triangle_holds_its_antidiagonal_and_powers_only():
+    # Between ranks the generator keeps antidiagonal m and the powers p^e, and
+    # no stale big integer of the step that built them: here the step's last
+    # partial sum and the entry it replaced would hold 27 KB more.
+    tracemalloc.start()
+    try:
+        stream = chains._triangle(10**6 + 3)
+        b = next(islice(stream, 100, None))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    local = inspect.getgeneratorlocals(stream)
+    diag, powers = local["diag"], local["powers"]
+    assert b is diag[0] and len(diag) == len(powers) == 101
+    kept = sys.getsizeof(diag) + sys.getsizeof(powers) + sum(map(sys.getsizeof, diag + powers))
+    assert held < kept + 4096
 
 
 def test_concurrent_evaluation_matches_serial():

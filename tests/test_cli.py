@@ -128,26 +128,16 @@ def test_domain_errors_exit_2(argv, needle, capsys):
     assert len(err.encode()) <= 200
 
 
-def one_wrong_binomial(monkeypatch, rank):
-    """Make qarith.gaussian_binomial, the certificate's reader, return [rank 1] + 1 (mod L when asked mod L)."""
-    binomial = qarith.gaussian_binomial
-
-    def wrong(n, k, p, modulus=None):
-        return binomial(n, k, p, modulus) + (n == rank and k == 1)
-
-    monkeypatch.setattr(qarith, "gaussian_binomial", wrong)
-
-
 @pytest.mark.parametrize("p,rank", [(2, 31), (7, 2), (10**18 + 9, 12)])
-def test_count_that_fails_its_certificate_exits_1_with_one_line(p, rank, monkeypatch, capsys, pulls):
+def test_count_that_fails_its_certificate_exits_1_with_one_line(p, rank, monkeypatch, off_at_rank, capsys, pulls):
     chains.clear_caches()
-    one_wrong_binomial(monkeypatch, rank)
+    off_at_rank(rank, 1)
     code, out, err = run_cli(["count", "--p", str(p), "--n", str(rank + 3)], capsys)
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert line.startswith(f"error: certificate failed at rank n={rank}, base p={qarith.brief(p)}: ")
     assert len(pulls) == rank + 1
-    # The failed stream is not kept: with the binomials mended, the next count
+    # The failed stream is not kept: with the triangle mended, the next count
     # starts again from rank 0, pulling every rank, and is right.
     monkeypatch.undo()
     pulls.clear()
@@ -157,9 +147,9 @@ def test_count_that_fails_its_certificate_exits_1_with_one_line(p, rank, monkeyp
     assert f" F={chain_counts(rank + 3, p).rooted} " in out
 
 
-def test_table_prints_only_the_ranks_below_a_failed_certificate(monkeypatch, capsys):
+def test_table_prints_only_the_ranks_below_a_failed_certificate(off_at_rank, capsys):
     chains.clear_caches()
-    one_wrong_binomial(monkeypatch, 31)
+    off_at_rank(31, 1)
     code, out, err = run_cli(["table", "--p", "2", "--max-n", "40"], capsys)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: certificate failed at rank n=31, base p=2: ")

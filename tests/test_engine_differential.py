@@ -201,6 +201,7 @@ def deep_point(draw):
 @given(deep_point())
 @example((120, 2))
 @example((120, 3))
+@example((100, 1000003))  # the output cap's last rank at 10^6 + 3
 @example((admitted_rank(10**18 + 9, 120), 10**18 + 9))
 def test_recurrence_satisfies_its_congruences(point):
     # [m k]_p = 1 mod p, so b_n = b_0 + ... + b_{n-1} = 2^(n-1) mod p; and
@@ -491,26 +492,15 @@ def test_recurrence_matches_binomial_sums_in_any_call_order(pulls, calls):
         kept_p, kept_n = p, n
 
 
-def off_at_rank(monkeypatch, rank, error):
-    """Make chains._triangle yield b_rank + error, every other rank unchanged."""
-    triangle = chains._triangle
-
-    def off(p):
-        for m, b in enumerate(triangle(p)):
-            yield b + error if m == rank else b
-
-    monkeypatch.setattr(chains, "_triangle", off)
-
-
 @pytest.mark.parametrize("p", [chains.CERTIFICATE_MODULI[0], chains.CERTIFICATE_MODULI[0] + 1])
-def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatch, pulls):
+def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatch, off_at_rank, pulls):
     # There every power of p is 0 or 1 mod the first prime, so the certificate
     # takes the next prime of the list, and sees a triangle off by a multiple of the first.
     modulus = chains.certificate_modulus(p)
     assert modulus in chains.CERTIFICATE_MODULI[1:] and p % modulus > 1
     chains.clear_caches()
     assert bounded_chains_recurrence(20, p) == ref_bounded(20, p)
-    off_at_rank(monkeypatch, 9, chains.CERTIFICATE_MODULI[0])
+    off_at_rank(9, chains.CERTIFICATE_MODULI[0])
     chains.clear_caches()
     with pytest.raises(chains.CertificateError, match=f"rank n=9, base p={p}: .* mod {modulus},"):
         bounded_chains_recurrence(20, p)
@@ -527,7 +517,7 @@ ALL_PRIMES = chains.CERTIFICATE_MODULI[0] * chains.CERTIFICATE_MODULI[1] * chain
 
 
 @pytest.mark.parametrize("p", [ALL_PRIMES, ALL_PRIMES + 1, 2 * ALL_PRIMES])
-def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p, monkeypatch):
+def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p, off_at_rank):
     # No prime of the list sees an exponent here, so the certificate falls
     # back to the last one and steps its half rows at the residue base p mod L,
     # 0 or 1, where every power of p is 0 or 1.
@@ -539,26 +529,20 @@ def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p, monkeypatch):
     assert qarith._row == (p, last, 40, ref_residue_half_row(40, p, last))
     # That call passed the check mod L at every rank, and the check is live
     # there: a triangle off by the first prime at rank 33 alone is caught, mod the last.
-    off_at_rank(monkeypatch, 33, chains.CERTIFICATE_MODULI[0])
+    off_at_rank(33, chains.CERTIFICATE_MODULI[0])
     chains.clear_caches()
     with pytest.raises(chains.CertificateError, match=f"rank n=33, base p={p}: .* mod {last},"):
         bounded_chains_recurrence(40, p)
 
 
-def test_an_interrupted_advance_is_not_kept(monkeypatch, pulls):
+def test_an_interrupted_advance_is_not_kept(monkeypatch, off_at_rank, pulls):
     # Only a stream that reaches its rank is kept; one stopped mid-rank, by
     # any exception, is dropped with the rank 5 it advanced from, and the
-    # next call starts again from rank 0.
-    binomial = qarith.gaussian_binomial
-
-    def interrupted(n, k, p, modulus=None):
-        if (n, p) == (10, 3):
-            raise KeyboardInterrupt
-        return binomial(n, k, p, modulus)
-
+    # next call starts again from rank 0. The fault is in the stream the
+    # memo keeps from rank 5, so it is patched in before that stream starts.
+    off_at_rank(10, KeyboardInterrupt)
     chains.clear_caches()
     assert bounded_chains_recurrence(5, 3) == ref_bounded(5, 3)
-    monkeypatch.setattr(qarith, "gaussian_binomial", interrupted)
     with pytest.raises(KeyboardInterrupt):
         bounded_chains_recurrence(20, 3)
     monkeypatch.undo()

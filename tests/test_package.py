@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -78,4 +79,19 @@ def test_no_module_reads_another_modules_private_name():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
                 if _private(node.attr):
                     reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert reads == []
+
+
+def test_tests_read_no_engine_memo():
+    # Tests check the engine's reuse by the ranks a call pulls from chains._triangle
+    # (the pulls fixture in conftest.py), never by the memo's layout. The pattern's
+    # escaped dot keeps this file from matching itself.
+    memo = re.compile(r"chains\._memo")
+    tests = Path(__file__).resolve().parent
+    reads = [
+        f"{path.relative_to(tests)}:{number}"
+        for path in sorted(tests.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if memo.search(line)
+    ]
     assert reads == []
