@@ -5,6 +5,9 @@ success, 1 when a verification run finds a mismatch or a count fails its
 certificate (chains.CertificateError), 2 on bad flags, domain errors (the
 message names the violated bound) or a failed write, 141 when the reader
 closes stdout early (the status a shell reports for SIGPIPE).
+
+run() is the process entry, for `python -m subchains` and the `subchains`
+script; main() serves one request in-process and returns its exit code.
 """
 
 from __future__ import annotations
@@ -231,6 +234,11 @@ class _Parser(argparse.ArgumentParser):
     A message still over 160 bytes (many short words) keeps its first 140 bytes and states its length.
     """
 
+    def print_help(self, file=None):
+        # argparse (3.11 on) drops an OSError from this write, so on unbuffered stdout a
+        # failed --help would exit 0; raised, it is main's failed write like any other.
+        (file or sys.stdout).write(self.format_help())
+
     def error(self, message: str):
         text = " ".join(map(brief, message.split()))
         if len(text.encode()) > 160:
@@ -309,21 +317,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Serve one request in-process and return its exit code; the digit limit is lifted only while it runs."""
     # Counts grow past the interpreter's default int-to-str digit limit, and
     # output must be exact decimal, never truncated.
-    if hasattr(sys, "set_int_max_str_digits"):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, after printing its text
+            code = exc.code or 0
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
-    except SystemExit as exc:  # --help, after printing its text
-        return exc.code
     except (ValueError, OSError, chains.CertificateError) as exc:
         # A bad request, a failed write (a closed pipe, a full disk) or a count that failed its
         # certificate. If stdout failed, a second flush fails too: point it at devnull so the
-        # interpreter's exit flush stays quiet.
+        # flushes after main returns (run's, or the interpreter's at exit) stay quiet.
         try:
             sys.stdout.flush()
         except OSError:
@@ -332,3 +344,21 @@ def main(argv: list[str] | None = None) -> int:
             return 141
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, chains.CertificateError) else 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def run() -> None:
+    """The process entry of `subchains` and `python -m subchains`: main, then os._exit with its code.
+
+    Once main has returned and stdout and stderr are flushed, the process ends
+    without the interpreter's teardown (clearing modules, the final collections,
+    freeing every object), work the OS does anyway at about 7 ms a request.
+    atexit handlers do not run; a caller that needs them calls main in-process.
+    An exception that escapes main propagates with its traceback, as before.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from subchains import chains
@@ -47,3 +49,21 @@ def off_at_rank(monkeypatch):
         monkeypatch.setattr(chains, "_triangle", off)
 
     return patch
+
+
+@pytest.fixture
+def digit_limit():
+    """digit_limit(limit) sets the int-to-str digit limit for the test, 0 lifting it; the caller's is restored after.
+
+    cli.main lifts the limit only while it runs, so a test that turns the counts
+    main printed back into ints past 4,300 digits lifts it itself. Where the
+    interpreter has no such limit, setting it does nothing.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield lambda limit: None
+        return
+    before = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -175,7 +175,8 @@ def test_7_identity_property_suite():
     _report("criterion-7 identity property suite n<=10", not failures, f"failures={failures[:5]}")
 
 
-def test_8_large_rank_recurrence_and_cli_round_trip(capsys):
+def test_8_large_rank_recurrence_and_cli_round_trip(capsys, digit_limit):
+    digit_limit(0)  # F at rank 200 has 6,073 digits, rendered here again by str()
     chains.clear_caches()
     start = perf_counter()
     bounded = bounded_chains_recurrence(200, 2)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import subchains
-from subchains import chains, lattice, qarith
+from subchains import chains, cli, lattice, qarith
 from subchains.chains import chain_counts
 from subchains.cli import RECORD_KEYS, _rooted_digits, build_parser, main
 from subchains.lattice import DEFAULT_NODE_BUDGET
@@ -403,19 +404,37 @@ def test_oracle_output_layout(n, fmt, capsys):
     assert masked == ORACLE_LAYOUT[n, fmt]
 
 
+def _cli_env(unbuffered=False):
+    """The environment of a CLI subprocess: this package first, stdout block-buffered as from a shell or unbuffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(subchains.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # table prints 1.24 MB here, far past a pipe buffer, so the writes after
     # the reader leaves fail inside the command rather than at exit.
-    src = str(Path(subchains.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     command = [sys.executable, "-m", "subchains", "table", "--p", "2", "--max-n", "200"]
-    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert first.startswith(b"p=2 n=0 F=1 ")
     assert (code, err) == (141, b"")
+    # --help's text fits the stdout buffer, so its write fails at main's last flush, or
+    # at once when stdout is unbuffered: the reader is gone before the command starts.
+    for args, unbuffered in itertools.product((["--help"], ["count", "--help"]), (False, True)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            command = [sys.executable, "-m", "subchains", *args]
+            done = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=_cli_env(unbuffered), timeout=60)
+        finally:
+            os.close(write)
+        assert (args, unbuffered, done.returncode, done.stderr) == (args, unbuffered, 141, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose writes fail with ENOSPC")
@@ -425,25 +444,132 @@ def test_closed_stdout_exits_141_without_a_traceback():
         (["verify", "--oracle", "2:2"], True, "error: "),
         (["table", "--p", "2", "--max-n", "3"], True, "error: "),
         (["oracle", "--p", "2", "--n", "3", "--dump", "/dev/full"], False, "error: cannot write the lattice dump: "),
+        (["--help"], True, "error: "),
+        (["count", "--help"], True, "error: "),
     ],
 )
 def test_a_failed_write_exits_2_with_one_error_line(args, stdout_to_full, needle):
     # Exit 1 would read as a verification mismatch; a traceback would be more than one line.
-    # stdout is block-buffered, as from a shell, so the exit flush would fail again if left alone.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(subchains.__file__).resolve().parents[1])
-    with open("/dev/full", "w") as full:
+    # Block-buffered stdout, as from a shell, would fail again at a later flush if left alone;
+    # on unbuffered stdout, argparse itself would drop --help's failed write and exit 0.
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "subchains", *args],
+                stdout=full if stdout_to_full else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=_cli_env(unbuffered),
+                timeout=60,
+            )
+        assert (unbuffered, done.returncode) == (unbuffered, 2)
+        assert done.stderr.decode().startswith(needle)
+        assert len(done.stderr.splitlines()) == 1
+        assert not done.stdout
+
+
+def run_to_exit(monkeypatch, exits: list) -> None:
+    """cli.run(), its os._exit appending (status, stdout bytes, stderr bytes) to exits instead of ending the process.
+
+    stdout and stderr are block-buffered streams, as to a file, whose bytes are
+    taken as they stand at the call: only what was flushed. They are patched in
+    here, inside the test, because pytest's capture sets its own at each phase.
+    """
+    stdout, stderr = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(os, "_exit", lambda code: exits.append((code, stdout.buffer.getvalue(), stderr.buffer.getvalue())))
+    cli.run()
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["count", "--p", "2", "--n", "3"], 0, b"p=2 n=3 F=72 D=71 C=143 ", b""),
+        (["count", "--p", "2", "--n", "40"], 1, b"", b"error: certificate failed at rank n=31, base p=2: "),
+        (["count", "--p", "2", "--n", "-1"], 2, b"", b"error: rank n must be >= 0, got -1\n"),
+    ],
+)
+def test_run_exits_with_mains_code_once_its_output_is_flushed(argv, code, out, err, monkeypatch, off_at_rank):
+    chains.clear_caches()
+    if code == 1:
+        off_at_rank(31, 1)
+    monkeypatch.setattr(sys, "argv", ["subchains", *argv])
+    exits = []
+    run_to_exit(monkeypatch, exits)
+    ((status, written, warned),) = exits
+    assert (status, written[: len(out)], warned[: len(err)]) == (code, out, err)
+
+
+def test_run_flushes_what_main_left_buffered(monkeypatch):
+    def unflushed_main():
+        print("out")
+        print("err", file=sys.stderr)
+        return 3
+
+    monkeypatch.setattr(cli, "main", unflushed_main)
+    exits = []
+    run_to_exit(monkeypatch, exits)
+    assert exits == [(3, b"out\n", b"err\n")]
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_exception_escaping_main_skips_os_exit(error, monkeypatch):
+    def failing_main():
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "main", failing_main)
+    exits = []
+    with pytest.raises(error, match="boom"):
+        run_to_exit(monkeypatch, exits)
+    assert exits == []
+
+
+def test_a_process_ended_by_run_leaves_its_output_complete(tmp_path, capsys):
+    # stdout to a file is block-buffered, and os._exit discards what a buffer still holds:
+    # the table's last rows and the dump's edges are the bytes a missing flush loses.
+    argv = ["table", "--p", "3", "--max-n", "100", "--format", "csv"]
+    with open(tmp_path / "table.csv", "wb") as out:
         done = subprocess.run(
-            [sys.executable, "-m", "subchains", *args],
-            stdout=full if stdout_to_full else subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=60,
+            [sys.executable, "-m", "subchains", *argv], stdout=out, stderr=subprocess.PIPE, env=_cli_env(), timeout=60
         )
-    assert done.returncode == 2
-    assert done.stderr.decode().startswith(needle)
-    assert len(done.stderr.splitlines()) == 1
-    assert not done.stdout
+    assert (done.returncode, done.stderr) == (0, b"")
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0 and len(want) > 100_000
+    mask = re.compile(r"(?<=,recurrence,)[0-9.]+")
+    assert mask.sub("<ms>", (tmp_path / "table.csv").read_text()) == mask.sub("<ms>", want)
+
+    dump = tmp_path / "lattice.txt"
+    with open(tmp_path / "oracle.txt", "wb") as out:
+        done = subprocess.run(
+            [sys.executable, "-m", "subchains", "oracle", "--p", "2", "--n", "4", "--dump", str(dump)],
+            stdout=out, stderr=subprocess.PIPE, env=_cli_env(), timeout=60,
+        )
+    assert done.returncode == 0
+    assert (tmp_path / "oracle.txt").read_text().startswith("subgroups_by_dim: 1,15,35,15,1\n")
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "lattice p=2 n=4 nodes=67"
+    # Strict containments: each l-dimensional subspace over each of its proper subspaces.
+    census = qarith.q_pascal_row(4, 2, 4)
+    containments = sum(count * (sum(qarith.q_pascal_row(dim, 2, dim)) - 1) for dim, count in enumerate(census))
+    assert sum(1 for line in lines if line.startswith("edge ")) == containments == 446
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["count", "--p", "2", "--n", "200"], 0),  # F has 6,073 digits, past the limit
+        (["count", "--p", "2", "--n", "-1"], 2),
+        (["count", "--p", "2", "--n", "40"], 1),
+    ],
+)
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_main_restores_the_callers_digit_limit(argv, code, digit_limit, off_at_rank, capsys):
+    digit_limit(5000)
+    chains.clear_caches()
+    if code == 1:
+        off_at_rank(31, 1)
+    assert run_cli(argv, capsys)[0] == code
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_oracle_dump(tmp_path, capsys):
