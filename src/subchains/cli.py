@@ -165,6 +165,7 @@ def _oracle_checks(args: argparse.Namespace):
         if n_hi < 1:
             raise ValueError(f"--oracle entry {brief(p)}:{brief(n_hi)} checks no rank; max_n must be >= 1")
         lattice.check_size(p, n_hi, args.budget)
+    lattice.check_total_size(grid, args.budget)
     yield
     for p, n_hi in grid:
         for n in range(1, n_hi + 1):
@@ -173,8 +174,9 @@ def _oracle_checks(args: argparse.Namespace):
             yield "oracle-rooted", p, n, *_compare(oracle.counts.rooted, rooted, str(rooted))
             census = tuple(qarith.q_pascal_row(n, p, n))
             yield "oracle-subspace-counts", p, n, *_compare(oracle.subgroups_by_dim, census, ",".join(map(str, census)))
+            # The lattice's three tallies against the D and C that count prints from F.
             F, D, C = oracle.counts
-            yield "oracle-identities", p, n, oracle.counts == chains.ChainCounts.from_rooted(F), f"F={F} D={D} C={C}"
+            yield "oracle-identities", p, n, tuple(map(str, oracle.counts)) == _rooted_digits(F), f"F={F} D={D} C={C}"
 
 
 # verify's check families, keyed by the flags that select them; with no flag
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Limits: verify refuses closed-form ranks above {CLOSED_FORM_CAP}; verify and oracle "
-            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}); count, table "
+            f"refuse lattices of more than --budget nodes (default {DEFAULT_NODE_BUDGET}), summed over "
+            "verify's --oracle grid; count, table "
             f"and verify refuse counts predicted at more than {COUNT_BITS_CAP} bits (n(n-1)/2*log2(p) "
             "at the top rank, summed over verify's bases; a count can have up to n*log2(n)+1 bits more), "
             f"poly polynomials of more than {POLY_BITS_CAP} bits (n(n-1)/2*n*log2(n)). "

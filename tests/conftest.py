@@ -1,8 +1,36 @@
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
+import subchains
 from subchains import chains
+from subchains.cli import main
+
+# The directory that holds the package, for a subprocess's PYTHONPATH or sys.path.
+SRC = Path(subchains.__file__).resolve().parents[1]
+
+# elapsed_ms in text (key=value), JSON ("key":value) and CSV (the field after the method).
+TIMING = re.compile(r'(elapsed_ms[=":]+|,(?:recurrence|oracle),)[0-9.]+')
+
+
+def mask(text: str) -> str:
+    """The output with every elapsed_ms value replaced by <ms>."""
+    return TIMING.sub(r"\1<ms>", text)
+
+
+def run_cli(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process request."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.fixture(autouse=True)
+def cold_engine():
+    """Every test starts from a cold engine, whatever the tests before it computed."""
+    chains.clear_caches()
 
 
 @pytest.fixture

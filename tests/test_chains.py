@@ -6,11 +6,11 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
-from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from conftest import SRC
 from subchains import chains, qarith
 from subchains.chains import (
     CLOSED_FORM_CAP,
@@ -24,15 +24,7 @@ from subchains.chains import (
     rooted_chains_poly,
 )
 from subchains.polynomial import ONE, IntPolynomial
-
-# Rooted-chain polynomials for ranks 0..4, ascending coefficients.
-FIRST_TERMS = {
-    0: (1,),
-    1: (2,),
-    2: (4, 2),
-    3: (8, 8, 8, 2),
-    4: (16, 24, 36, 36, 24, 12, 2),
-}
+from test_acceptance import FIRST_TERMS
 
 
 @pytest.mark.parametrize("n,p,expected", [(0, 2, 1), (2, 2, 4), (3, 2, 36)])
@@ -115,7 +107,6 @@ def test_output_caps():
 def test_refusals_show_wide_values_under_the_default_digit_limit():
     # A fresh interpreter keeps the int-to-str digit limit (4,300 digits on 3.10.7+) that the CLI lifts,
     # as a library caller does: each check must still raise its own refusal, not the limit's error.
-    src = Path(chains.__file__).resolve().parents[1]
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); from subchains import chains\n"
         "wide = 10**5000\n"
@@ -125,7 +116,7 @@ def test_refusals_show_wide_values_under_the_default_digit_limit():
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
-    command = [sys.executable, "-I", "-S", "-c", probe, str(src)]
+    command = [sys.executable, "-I", "-S", "-c", probe, str(SRC)]
     done = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == [

@@ -14,28 +14,17 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-import subchains
+from conftest import SRC, run_cli
 from subchains import chains
-from subchains.cli import main
-
-
-def run_cli(argv, capsys):
-    """(exit code, stdout, stderr, seconds) of one in-process request."""
-    start = perf_counter()
-    code = main(argv)
-    seconds = perf_counter() - start
-    out, err = capsys.readouterr()
-    return code, out, err, seconds
 
 
 def record(argv, capsys):
     """The one JSON record a request prints."""
-    code, out, err, _ = run_cli([*argv, "--format", "json"], capsys)
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
     assert (code, err) == (0, "")
     return json.loads(out)
 
@@ -43,13 +32,13 @@ def record(argv, capsys):
 def test_verify_at_a_wide_base_passes_every_rank_within_30_s(capsys):
     # One walk of the partition tree serves ranks 0-24 in well under a second;
     # a walk over the 2^(n-1) compositions took about 50 s for rank 24 alone.
-    chains.clear_caches()
-    code, out, err, seconds = run_cli(["verify", "--p", str(10**18 + 9), "--max-n", "24"], capsys)
+    start = perf_counter()
+    code, out, err = run_cli(["verify", "--p", str(10**18 + 9), "--max-n", "24"], capsys)
+    assert perf_counter() - start < 30
     assert (code, err) == (0, "")
     *checks, summary = out.splitlines()
     assert [line.split(" ", 2)[:2] for line in checks] == [["PASS", "methods-agree"]] * 25
     assert summary == "25/25 checks passed"
-    assert seconds < 30
 
 
 def test_oracle_at_2_7_gives_counts_f_within_120_s(capsys):
@@ -70,10 +59,10 @@ def test_a_table_at_the_output_cap_parses_back_within_20_s(p, max_n, capsys, dig
     chains.check_count_bits(max_n, p)
     with pytest.raises(ValueError, match="exceeds the output cap"):
         chains.check_count_bits(max_n + 1, p)
-    chains.clear_caches()
-    code, out, err, seconds = run_cli(["table", "--p", str(p), "--max-n", str(max_n), "--format", "csv"], capsys)
+    start = perf_counter()
+    code, out, err = run_cli(["table", "--p", str(p), "--max-n", str(max_n), "--format", "csv"], capsys)
+    assert perf_counter() - start < 20
     assert (code, err) == (0, "")
-    assert seconds < 20
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(row["n"]) for row in rows] == list(range(max_n + 1))
     for row in rows:
@@ -96,7 +85,7 @@ sys.stdout.write(done.stdout)
 def test_poly_120_peaks_under_85_mb_and_gives_count_at_2(capsys):
     # poly evaluates its triangle at p = +-2^K, K half a coefficient digit; at
     # the single point 2^(2K) the triangle's integers, and the peak, double.
-    env = {**os.environ, "PYTHONPATH": str(Path(subchains.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     poly = [sys.executable, "-m", "subchains", "poly", "--n", "120", "--format", "json"]
     done = subprocess.run([sys.executable, "-c", PEAK, *poly], capture_output=True, text=True, env=env, timeout=180)
     assert (done.returncode, done.stderr) == (0, "")

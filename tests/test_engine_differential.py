@@ -376,7 +376,6 @@ def test_kept_row_steps_up_from_any_lower_rank(monkeypatch):
         return step(row, p, width, modulus)
 
     monkeypatch.setattr(qarith, "q_pascal_step", counted)
-    chains.clear_caches()
     L = chains.certificate_modulus(3)
     assert bounded_chains_recurrence(40, 3) == ref_bounded(40, 3)
     assert qarith._row == (3, L, 40, ref_residue_half_row(40, 3, L))
@@ -398,7 +397,6 @@ def test_kept_row_steps_up_from_any_lower_rank(monkeypatch):
 
 def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
     # A library caller may read whole rows at other bases between recurrence calls.
-    chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
     assert gaussian_binomial(40, 20, 5) == ref_gaussian_binomial(40, 20, 5)
     assert qarith._row == (5, None, 40, ref_residue_half_row(40, 5, None))
@@ -408,7 +406,6 @@ def test_recurrence_resumes_its_walk_after_a_wide_read_at_another_base():
 
 
 def test_verify_census_leaves_the_kept_row_alone(capsys, monkeypatch):
-    chains.clear_caches()
     assert bounded_chains_recurrence(50, 3) == ref_bounded(50, 3)
     reads = []
     binomial = qarith.gaussian_binomial
@@ -428,7 +425,6 @@ def test_verify_census_leaves_the_kept_row_alone(capsys, monkeypatch):
 
 
 def test_polynomials_leave_the_integer_engine_alone(pulls):
-    chains.clear_caches()
     assert bounded_chains_recurrence(30, 3) == ref_bounded(30, 3)
     row = qarith._row
     sizes = gaussian_binomial.cache_info().currsize, gaussian_binomial_poly.cache_info().currsize
@@ -445,7 +441,6 @@ def test_polynomials_leave_the_integer_engine_alone(pulls):
 
 def test_memo_keeps_only_the_most_recent_base(pulls):
     # Each call pulls the ranks it adds to the kept stream, or all n + 1 when it starts again.
-    chains.clear_caches()
     for n, p, pulled in [(30, 5, 31), (20, 7, 21), (31, 5, 32), (31, 5, 0), (40, 5, 9), (12, 5, 13), (9, 4, 10)]:
         pulls.clear()
         assert bounded_chains_recurrence(n, p) == ref_bounded(n, p)
@@ -498,7 +493,6 @@ def test_a_base_0_or_1_mod_the_first_prime_is_certified_by_another(p, monkeypatc
     # takes the next prime of the list, and sees a triangle off by a multiple of the first.
     modulus = chains.certificate_modulus(p)
     assert modulus in chains.CERTIFICATE_MODULI[1:] and p % modulus > 1
-    chains.clear_caches()
     assert bounded_chains_recurrence(20, p) == ref_bounded(20, p)
     off_at_rank(9, chains.CERTIFICATE_MODULI[0])
     chains.clear_caches()
@@ -524,7 +518,6 @@ def test_a_base_0_or_1_mod_every_prime_is_certified_by_the_last(p, off_at_rank):
     last = chains.CERTIFICATE_MODULI[-1]
     assert {p % prime for prime in chains.CERTIFICATE_MODULI} == {p % last} <= {0, 1}
     assert chains.certificate_modulus(p) == last
-    chains.clear_caches()
     assert bounded_chains_recurrence(40, p) == ref_bounded(40, p)
     assert qarith._row == (p, last, 40, ref_residue_half_row(40, p, last))
     # That call passed the check mod L at every rank, and the check is live
@@ -541,7 +534,6 @@ def test_an_interrupted_advance_is_not_kept(monkeypatch, off_at_rank, pulls):
     # next call starts again from rank 0. The fault is in the stream the
     # memo keeps from rank 5, so it is patched in before that stream starts.
     off_at_rank(10, KeyboardInterrupt)
-    chains.clear_caches()
     assert bounded_chains_recurrence(5, 3) == ref_bounded(5, 3)
     with pytest.raises(KeyboardInterrupt):
         bounded_chains_recurrence(20, 3)

@@ -20,9 +20,7 @@ from subchains.lattice import (
     is_prime,
 )
 from subchains.qarith import galois_number, gaussian_binomial
-
-# largest lattices here: (2,4) has 67 nodes, (3,3) has 28
-ORACLE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+from test_acceptance import ORACLE_GRID  # largest lattices: (2,4) has 67 nodes, (3,3) has 28
 
 
 def test_is_prime():

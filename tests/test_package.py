@@ -9,6 +9,7 @@ from types import ModuleType
 import pytest
 
 import subchains
+from conftest import SRC
 from subchains import qarith
 
 
@@ -40,14 +41,13 @@ def test_import_loads_no_submodule_until_a_name_is_read():
     # A fresh interpreter: `import subchains` loads no submodule, reading a
     # chains name loads chains and qarith only, and `from subchains import
     # lattice` still imports the submodule rather than failing in __getattr__.
-    src = Path(subchains.__file__).resolve().parents[1]
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import subchains\n"
         "loaded = lambda: ' '.join(sorted(m for m in sys.modules if m.startswith('subchains.')))\n"
         "print(loaded()); subchains.chain_counts; print(loaded())\n"
         "from subchains import lattice; print(lattice.__name__, 'lattice' in vars(subchains))\n"
     )
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src)], capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["", "subchains.chains subchains.qarith", "subchains.lattice True"]
 

@@ -6,12 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mask
 from subchains.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-# elapsed_ms in text (key=value), JSON ("key":value) and CSV (the field after the method).
-TIMING = re.compile(r'(elapsed_ms[=":]+|,(?:recurrence|oracle),)[0-9.]+')
 
 
 def readme_examples() -> list[tuple[str, str]]:
@@ -25,10 +23,6 @@ def readme_examples() -> list[tuple[str, str]]:
         elif examples:
             examples[-1][1].append(line)
     return [(command, "\n".join(shown).strip() + "\n") for command, shown in examples]
-
-
-def mask(text: str) -> str:
-    return TIMING.sub(r"\1<ms>", text)
 
 
 EXAMPLES = readme_examples()
