@@ -50,7 +50,7 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {brief(p)}")
 
 
-def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
+def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Refuse a negative budget, then a lattice of negative rank, over the budget, or over a non-prime base.
 
     Two bounds on the node count G_n(p) refuse the plainly oversized before
@@ -58,7 +58,7 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
     G_n(p) > p once n >= 2. Bases above the budget are refused at every rank,
     which turns away only lattices of 1 or 2 nodes besides. The primality
     test then costs at most sqrt(budget) divisions, and the exact size,
-    computed last, a rank of at most budget.bit_length().
+    computed last, a rank of at most budget.bit_length(). That size is returned.
     """
     check_budget(budget)
     check_rank(n)
@@ -77,20 +77,7 @@ def check_size(p: int, n: int, budget: int = DEFAULT_NODE_BUDGET) -> None:
         raise ValueError(
             f"the subspace lattice of F_{p}^{n} has {brief(nodes)} nodes, over the budget of {brief(budget)}"
         )
-
-
-def check_total_size(points: list[tuple[int, int]], budget: int = DEFAULT_NODE_BUDGET) -> None:
-    """Refuse (p, n) points, each admitted by check_size, whose top lattices' node counts sum past the budget.
-
-    So a request that builds several lattices is bounded as a whole, however
-    often it repeats a point. The lower ranks that verify also builds for each
-    point are left out: they add about a tenth at p = 2, and less at larger p.
-    """
-    nodes = sum(galois_number(n, p) for p, n in points)
-    if nodes > budget:
-        raise ValueError(
-            f"the {brief(len(points))} lattices have {brief(nodes)} nodes in all, over the budget of {brief(budget)}"
-        )
+    return nodes
 
 
 class Subspace(NamedTuple):

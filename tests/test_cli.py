@@ -151,12 +151,6 @@ def test_table_prints_only_the_ranks_below_a_failed_certificate(off_at_rank, cap
     assert [re.search(r" n=(\d+) ", line).group(1) for line in out.splitlines()] == [str(n) for n in range(31)]
 
 
-def test_unknown_flag_exits_2(capsys):
-    code = main(["count", "--p", "2", "--n", "3", "--frobnicate"])
-    capsys.readouterr()
-    assert code == 2
-
-
 def test_poly_text(capsys):
     assert run_cli(["poly", "--n", "2"], capsys)[1].strip() == "2p + 4"
     assert run_cli(["poly", "--n", "0"], capsys)[1].strip() == "1"
@@ -237,17 +231,6 @@ def test_verify_oracle_only(capsys):
     assert code == 0
     assert "methods-agree" not in out
     assert "oracle-rooted" in out
-
-
-def test_verify_default_run(capsys):
-    code, out, _ = run_cli(["verify"], capsys)
-    assert code == 0
-    assert "methods-agree" in out and "oracle-rooted" in out
-    *checks, tally = out.splitlines()
-    assert all(line.startswith("PASS ") for line in checks)
-    # the default grid reaches (2,6): 44 formula checks plus 3 per oracle rank
-    assert "PASS oracle-rooted p=2 n=6 (4515776)" in checks
-    assert tally == "83/83 checks passed"
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

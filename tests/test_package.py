@@ -63,6 +63,14 @@ def test_binomials_left_the_public_names_in_0_3_0():
         assert hasattr(kept, "__wrapped__") and hasattr(kept, "cache_parameters")
 
 
+def test_the_console_script_runs_cli_run():
+    # The installed `subchains` ends the process as `python -m subchains` does, by cli.run.
+    # Read as text: Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['subchains = "subchains.cli:run"']
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

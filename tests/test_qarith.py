@@ -7,10 +7,7 @@ from hypothesis import given, strategies as st
 from subchains import qarith
 from subchains.polynomial import ONE, IntPolynomial
 from subchains.qarith import brief, galois_number, gaussian_binomial, gaussian_binomial_poly
-from test_acceptance import q_factorial
 from test_engine_differential import rank_pair
-
-PRIMES = (2, 3, 5, 7, 11)
 
 
 @pytest.mark.parametrize(
@@ -32,7 +29,7 @@ def test_gaussian_binomial_rejects_out_of_range():
     # the column is checked before the base
     with pytest.raises(ValueError, match=column):
         gaussian_binomial(3, 4, 1)
-    for k in (-1, 4):
+    for k in (-1, 4, 5):
         with pytest.raises(ValueError, match=f"got k={k}, n=3"):
             gaussian_binomial_poly(3, k)
     # The kept row answers no call that its checks would refuse: not at base 0 from cold,
@@ -48,51 +45,11 @@ def test_gaussian_binomial_rejects_out_of_range():
             gaussian_binomial(3, 1, 2, modulus)
 
 
-def test_symmetry_on_grid():
-    for p in PRIMES:
-        for n in range(11):
-            for k in range(n + 1):
-                assert gaussian_binomial(n, k, p) == gaussian_binomial(n, n - k, p)
-
-
-def test_exact_divisibility_on_grid():
-    # [n k]_p is the exact quotient q!(n) / (q!(k) q!(n - k)), q! a literal product independent of the library.
-    for p in PRIMES:
-        for n in range(11):
-            for k in range(n + 1):
-                assert gaussian_binomial(n, k, p) * q_factorial(k, p) * q_factorial(n - k, p) == q_factorial(n, p)
-
-
 def test_gaussian_binomial_poly_examples():
     assert gaussian_binomial_poly(2, 1) == IntPolynomial([1, 1])
     assert gaussian_binomial_poly(6, 0) == ONE
     assert gaussian_binomial_poly(6, 6) == ONE
     assert gaussian_binomial_poly(4, 2) == IntPolynomial([1, 1, 2, 1, 1])
-
-
-def test_gaussian_binomial_poly_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        gaussian_binomial_poly(3, 5)
-
-
-def test_polynomial_numeric_coherence_on_grid():
-    for n in range(11):
-        for k in range(n + 1):
-            poly = gaussian_binomial_poly(n, k)
-            for p in PRIMES:
-                assert poly.evaluate(p) == gaussian_binomial(n, k, p)
-
-
-def test_gaussian_binomial_poly_coefficients_nonnegative():
-    for n in range(11):
-        for k in range(n + 1):
-            assert all(c >= 0 for c in gaussian_binomial_poly(n, k).coeffs)
-
-
-def test_gaussian_binomial_poly_symmetric():
-    for n in range(11):
-        for k in range(n + 1):
-            assert gaussian_binomial_poly(n, k) == gaussian_binomial_poly(n, n - k)
 
 
 def test_gaussian_binomial_poly_keeps_no_polynomial():
